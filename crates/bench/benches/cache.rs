@@ -1,23 +1,38 @@
-//! Criterion micro-benchmarks of the cache substrate: hit-path access
-//! throughput and the full D-cache front-end under the three Figure 4
-//! schemes, on a synthetic strided address stream.
+//! Criterion micro-benchmarks of the tag-only cache substrate: hit-path
+//! and miss-path access throughput, and the full D-cache front-end under
+//! the three Figure 4 schemes on a synthetic strided address stream.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use waymem_cache::{AccessKind, Geometry, MainMemory, SetAssocCache};
+use waymem_cache::{AccessKind, Geometry, SetAssocCache};
 use waymem_sim::DScheme;
 
 fn bench_cache_hit_path(c: &mut Criterion) {
     let geom = Geometry::frv();
     let mut cache = SetAssocCache::new(geom);
-    let mut mem = MainMemory::new();
     for i in 0..64u32 {
-        cache.access(i * 32, AccessKind::Load, &mut mem);
+        cache.access(i * 32, AccessKind::Load);
     }
     c.bench_function("cache_hit_access", |b| {
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 1) % 64;
-            black_box(cache.access(black_box(i * 32), AccessKind::Load, &mut mem))
+            black_box(cache.access(black_box(i * 32), AccessKind::Load))
+        })
+    });
+}
+
+/// Every access misses: a store stream striding one cache capacity, so
+/// each fill evicts the dirty line the previous pass left in that way.
+fn bench_cache_miss_path(c: &mut Criterion) {
+    let geom = Geometry::frv();
+    let mut cache = SetAssocCache::new(geom);
+    let stride = geom.sets() * geom.line_bytes();
+    c.bench_function("cache_miss_access", |b| {
+        let mut i = 0u32;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            let addr = (i % 4) * stride + (i / 4 % geom.sets()) * geom.line_bytes();
+            black_box(cache.access(black_box(addr), AccessKind::Store))
         })
     });
 }
@@ -44,5 +59,10 @@ fn bench_dfront_schemes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache_hit_path, bench_dfront_schemes);
+criterion_group!(
+    benches,
+    bench_cache_hit_path,
+    bench_cache_miss_path,
+    bench_dfront_schemes
+);
 criterion_main!(benches);

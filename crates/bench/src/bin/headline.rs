@@ -4,6 +4,10 @@
 //! * total cache power reduced ~30 % on average / 40 % max,
 //! * no performance penalty (zero extra cycles for the MAB schemes).
 //!
+//! It exits non-zero if any scheme reports a wrong-way access
+//! ([`waymem_cache::AccessStats::wrong_way`]): a MAB hit naming a way
+//! that does not hold the line.
+//!
 //! It also times the 7-benchmark suite under four engines — the serial
 //! per-event fanout ([`ExecPolicy::Serial`]), a cold pass through the
 //! shared [`waymem_sim::TraceStore`] (records or disk-loads each trace),
@@ -210,5 +214,28 @@ fn main() {
         Ok(Some((path, events))) => eprintln!("wrote {events} span events to {}", path.display()),
         Ok(None) => {}
         Err(e) => eprintln!("headline: failed to write span trace: {e}"),
+    }
+
+    // The paper's safety property, checked in this release binary: no
+    // known-way access of any pass may have named the wrong way.
+    let mut wrong_way = 0;
+    for r in serial
+        .iter()
+        .chain(results.iter())
+        .chain(warm.iter())
+        .chain(&streamed)
+    {
+        for s in r.dcache.iter().chain(&r.icache) {
+            if s.stats.wrong_way > 0 {
+                eprintln!(
+                    "headline: {}/{}: {} wrong-way accesses",
+                    r.workload, s.name, s.stats.wrong_way
+                );
+                wrong_way += s.stats.wrong_way;
+            }
+        }
+    }
+    if wrong_way > 0 {
+        std::process::exit(1);
     }
 }

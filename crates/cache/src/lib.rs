@@ -10,38 +10,41 @@
 //! P_cache = E_way · N_way + E_tag · N_tag + P_MAB
 //! ```
 //!
-//! The crate deliberately separates three concerns:
+//! The crate deliberately separates two concerns:
 //!
-//! * **State** — [`SetAssocCache`] holds lines, tags, dirty bits and per-set
-//!   LRU order, and can say which way a line resides in ([`SetAssocCache::probe`]).
-//! * **Data** — lines carry real bytes backed by a [`MainMemory`], so
-//!   functional equivalence with a flat memory can be property-tested.
+//! * **State** — [`SetAssocCache`] holds tags, valid and dirty bits and
+//!   per-set LRU order, and can say which way a line resides in
+//!   ([`SetAssocCache::probe`]). Trace events carry addresses, not data, so
+//!   the model carries no line bytes either. Whether a memoized way is
+//!   sound is counted directly: every known-way access is checked against
+//!   the way the cache reports, and a mismatch increments
+//!   [`AccessStats::wrong_way`].
 //! * **Accounting** — the *front-ends* (in `waymem-sim`) decide how many tag
 //!   and way arrays an access activates under each scheme (conventional,
 //!   set-buffer, intra-line memoization, MAB) and record it in
 //!   [`AccessStats`]. The cache itself never guesses energy.
 //!
-//! Auxiliary hardware structures used by the baselines and by the paper's
-//! "future work" hybrid also live here: [`WriteBackBuffer`] (lets stores
-//! activate a single data way), [`LineBuffer`] (Su & Despain / filter-style
-//! single-line L0) and [`SetBuffer`] (Yang et al., approach \[14\]).
+//! [`MainMemory`] is the flat byte memory the frv-lite interpreter executes
+//! against. Auxiliary hardware structures used by the baselines and by the
+//! paper's "future work" hybrid also live here: [`WriteBackBuffer`] (lets
+//! stores activate a single data way), [`LineBuffer`] (Su & Despain /
+//! filter-style single-line L0) and [`SetBuffer`] (Yang et al., approach
+//! \[14\]).
 //!
 //! ## Quick example
 //!
 //! ```
-//! use waymem_cache::{Geometry, MainMemory, SetAssocCache, AccessKind};
+//! use waymem_cache::{AccessKind, Geometry, SetAssocCache};
 //!
 //! # fn main() -> Result<(), waymem_cache::GeometryError> {
 //! let geom = Geometry::new(512, 2, 32)?; // 32 kB, 2-way, 32-B lines (FR-V)
-//! let mut mem = MainMemory::new();
-//! mem.write_u32(0x1000, 0xdead_beef);
 //! let mut cache = SetAssocCache::new(geom);
 //!
-//! let outcome = cache.access(0x1000, AccessKind::Load, &mut mem);
+//! let outcome = cache.access(0x1000, AccessKind::Load);
 //! assert!(!outcome.hit);                       // cold miss
-//! assert_eq!(cache.read_u32(0x1000), Some(0xdead_beef));
-//! let outcome = cache.access(0x1000, AccessKind::Load, &mut mem);
-//! assert!(outcome.hit);
+//! assert_eq!(cache.probe(0x1000), Some(outcome.way));
+//! let outcome = cache.access(0x1004, AccessKind::Load);
+//! assert!(outcome.hit);                        // same 32-B line
 //! # Ok(())
 //! # }
 //! ```
@@ -52,7 +55,6 @@
 mod cache;
 mod error;
 mod geometry;
-mod line;
 mod line_buffer;
 mod lru;
 mod memory;
@@ -63,7 +65,6 @@ mod wb_buffer;
 pub use cache::{AccessKind, AccessOutcome, EvictedLine, FillOutcome, SetAssocCache};
 pub use error::GeometryError;
 pub use geometry::Geometry;
-pub use line::CacheLine;
 pub use line_buffer::LineBuffer;
 pub use lru::LruOrder;
 pub use memory::MainMemory;

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 /// The paper updates MAB entries "using Least Recently Used (LRU) policy"
 /// (§3.3, citing Hennessy & Patterson), and the FR-V caches are LRU as well.
 /// Capacities in this system are tiny (2–32), so the order is kept as an
-/// explicit most-recent-first permutation; `touch` is O(n) which is faster
-/// than any pointer structure at these sizes.
+/// explicit most-recent-first permutation; `touch` is an O(n) in-place
+/// rotation, which is faster than any pointer structure at these sizes.
 ///
 /// ```
 /// use waymem_cache::LruOrder;
@@ -59,13 +59,7 @@ impl LruOrder {
     ///
     /// Panics if `slot >= len()`.
     pub fn touch(&mut self, slot: usize) {
-        let pos = self
-            .order
-            .iter()
-            .position(|&s| usize::from(s) == slot)
-            .expect("slot within capacity");
-        let s = self.order.remove(pos);
-        self.order.insert(0, s);
+        touch(&mut self.order, slot);
     }
 
     /// The least-recently-used slot — the replacement victim.
@@ -97,6 +91,22 @@ impl LruOrder {
             .position(|&s| usize::from(s) == slot)
             .expect("slot within capacity")
     }
+}
+
+/// Moves `slot` to the front of a most-recent-first permutation, shifting
+/// the more recent slots back by one in place. Shared by [`LruOrder`] and
+/// the per-set orders that [`SetAssocCache`](crate::SetAssocCache) keeps
+/// inline.
+///
+/// # Panics
+///
+/// Panics if `slot` is not in `order`.
+pub(crate) fn touch(order: &mut [u8], slot: usize) {
+    let pos = order
+        .iter()
+        .position(|&s| usize::from(s) == slot)
+        .expect("slot within capacity");
+    order[..=pos].rotate_right(1);
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@ use std::collections::HashMap;
 
 /// Flat, sparsely allocated 32-bit byte-addressable main memory.
 ///
-/// Backs the cache simulator and the frv-lite CPU. Pages of 4 kB are
-/// allocated on first touch; unwritten memory reads as zero, which keeps
-/// traces deterministic.
+/// Backs the frv-lite CPU and the [`WriteBackBuffer`](crate::WriteBackBuffer)
+/// model. Pages of 4 kB are allocated on first touch; unwritten memory
+/// reads as zero, which keeps traces deterministic.
 ///
 /// ```
 /// use waymem_cache::MainMemory;

@@ -49,6 +49,11 @@ pub struct AccessStats {
     /// (only possible in deliberately unsound consistency modes used to
     /// probe the paper's §3.3 LRU argument; always 0 otherwise).
     pub unsound_hits: u64,
+    /// Known-way accesses (MAB, buffer, predictor or intra-line hits) whose
+    /// way disagreed with the cache: the line was not resident, or sat in
+    /// another way. The paper's safety property is that this is always 0;
+    /// it is counted in every build, so release runs check it too.
+    pub wrong_way: u64,
 }
 
 impl AccessStats {
@@ -84,13 +89,15 @@ impl AccessStats {
         ratio(self.mab_hits, self.mab_lookups)
     }
 
-    /// Checks internal consistency: hits + misses = accesses, and hit/lookup
-    /// counters never exceed their denominators.
+    /// Checks internal consistency: hits + misses = accesses, hit/lookup
+    /// counters never exceed their denominators, and no known-way access
+    /// went to the wrong way.
     #[must_use]
     pub fn is_consistent(&self) -> bool {
         self.hits + self.misses == self.accesses
             && self.mab_hits <= self.mab_lookups
             && self.misses <= self.accesses
+            && self.wrong_way == 0
     }
 }
 
@@ -115,6 +122,7 @@ impl AddAssign for AccessStats {
         self.buffer_hits += rhs.buffer_hits;
         self.write_backs += rhs.write_backs;
         self.unsound_hits += rhs.unsound_hits;
+        self.wrong_way += rhs.wrong_way;
     }
 }
 
@@ -146,6 +154,7 @@ mod tests {
             buffer_hits: 5,
             write_backs: 6,
             unsound_hits: 0,
+            wrong_way: 0,
         };
         let b = a;
         a += b;
@@ -171,6 +180,11 @@ mod tests {
         let s = AccessStats {
             mab_hits: 3,
             mab_lookups: 2,
+            ..AccessStats::default()
+        };
+        assert!(!s.is_consistent());
+        let s = AccessStats {
+            wrong_way: 1,
             ..AccessStats::default()
         };
         assert!(!s.is_consistent());

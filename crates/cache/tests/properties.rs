@@ -1,10 +1,11 @@
-//! Property-based tests for the cache substrate: functional equivalence
-//! with flat memory, inclusion/LRU invariants and accounting consistency
-//! under random access streams.
+//! Property-based tests for the cache substrate: differential equivalence
+//! with a naive reference model, inclusion/LRU invariants and accounting
+//! consistency under random access streams.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use waymem_cache::{AccessKind, Geometry, LruOrder, MainMemory, SetAssocCache};
+
+use waymem_cache::{AccessKind, AccessOutcome, EvictedLine, Geometry, LruOrder, SetAssocCache};
 
 fn geometries() -> impl Strategy<Value = Geometry> {
     prop_oneof![
@@ -15,34 +16,90 @@ fn geometries() -> impl Strategy<Value = Geometry> {
     ]
 }
 
+/// A deliberately naive write-back, write-allocate LRU cache: per set, the
+/// resident lines as `(tag, dirty, way)` in most-recently-used-first order.
+/// A set that is not yet full fills its lowest unused way; a full set
+/// evicts the line at the back.
+struct Reference {
+    geom: Geometry,
+    sets: Vec<Vec<(u32, bool, u32)>>,
+    fills: u64,
+    write_backs: u64,
+}
+
+impl Reference {
+    fn new(geom: Geometry) -> Self {
+        Self {
+            geom,
+            sets: vec![Vec::new(); geom.sets() as usize],
+            fills: 0,
+            write_backs: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u32, kind: AccessKind) -> AccessOutcome {
+        let (index, tag) = (self.geom.index_of(addr), self.geom.tag_of(addr));
+        let set = &mut self.sets[index as usize];
+        let (hit, mut line, evicted) = match set.iter().position(|l| l.0 == tag) {
+            Some(pos) => (true, set.remove(pos), None),
+            None => {
+                self.fills += 1;
+                if set.len() < self.geom.ways() as usize {
+                    (false, (tag, false, set.len() as u32), None)
+                } else {
+                    let (old_tag, dirty, way) = set.pop().expect("full set");
+                    self.write_backs += u64::from(dirty);
+                    let ev = EvictedLine {
+                        tag: old_tag,
+                        index,
+                        way,
+                        dirty,
+                    };
+                    (false, (tag, false, way), Some(ev))
+                }
+            }
+        };
+        line.1 |= kind == AccessKind::Store;
+        set.insert(0, line);
+        AccessOutcome {
+            hit,
+            way: line.2,
+            index,
+            evicted,
+        }
+    }
+}
+
+fn addresses() -> impl Strategy<Value = u32> {
+    // A narrow range that mostly hits and a wide one that mostly misses.
+    prop_oneof![0u32..0x800, 0u32..0x1_0000]
+}
+
 proptest! {
-    /// Reads through the cache always return what a flat memory would,
-    /// for any interleaving of loads and stores, and a final flush leaves
-    /// memory equal to the model.
+    /// The flat tag-only cache agrees with the naive reference on every
+    /// access outcome (hit, way, set, evicted line and its dirty bit) and
+    /// on the fill and write-back counts, for any load/store stream.
     #[test]
-    fn cache_is_functionally_transparent(
+    fn cache_matches_naive_reference(
         geom in geometries(),
-        ops in prop::collection::vec((any::<u16>(), any::<u32>(), any::<bool>()), 1..300),
+        ops in prop::collection::vec((addresses(), any::<bool>()), 1..400),
     ) {
         let mut cache = SetAssocCache::new(geom);
-        let mut mem = MainMemory::new();
-        let mut model: HashMap<u32, u32> = HashMap::new();
-        for (addr16, value, is_store) in ops {
-            let addr = u32::from(addr16) & !3;
-            if is_store {
-                cache.access(addr, AccessKind::Store, &mut mem);
-                prop_assert!(cache.write_u32(addr, value));
-                model.insert(addr, value);
-            } else {
-                cache.access(addr, AccessKind::Load, &mut mem);
-                let got = cache.read_u32(addr).expect("line resident after access");
-                let want = model.get(&addr).copied().unwrap_or(0);
-                prop_assert_eq!(got, want);
-            }
+        let mut reference = Reference::new(geom);
+        for (addr, is_store) in ops {
+            let kind = if is_store { AccessKind::Store } else { AccessKind::Load };
+            let want = reference.access(addr, kind);
+            prop_assert_eq!(cache.access(addr, kind), want);
+            prop_assert_eq!(cache.fills(), reference.fills);
+            prop_assert_eq!(cache.write_backs(), reference.write_backs);
         }
-        cache.flush(&mut mem);
-        for (&addr, &value) in &model {
-            prop_assert_eq!(mem.read_u32(addr), value);
+        for (index, set) in reference.sets.iter().enumerate() {
+            for &(tag, _, way) in set {
+                prop_assert_eq!(cache.resident_way(tag, index as u32), Some(way));
+            }
+            if let Some(&(_, _, mru)) = set.first() {
+                prop_assert_eq!(cache.mru_way(index as u32), mru);
+            }
         }
     }
 
@@ -54,11 +111,10 @@ proptest! {
         addrs in prop::collection::vec(any::<u16>(), 1..200),
     ) {
         let mut cache = SetAssocCache::new(geom);
-        let mut mem = MainMemory::new();
         let capacity = u64::from(geom.sets()) * u64::from(geom.ways());
         for addr16 in addrs {
             let addr = u32::from(addr16);
-            let out = cache.access(addr, AccessKind::Load, &mut mem);
+            let out = cache.access(addr, AccessKind::Load);
             prop_assert_eq!(cache.probe(addr), Some(out.way));
             prop_assert!(cache.resident_lines() <= capacity);
             prop_assert_eq!(out.index, geom.index_of(addr));
@@ -73,11 +129,10 @@ proptest! {
     ) {
         let geom = Geometry::new(4, 2, 16).unwrap();
         let mut cache = SetAssocCache::new(geom);
-        let mut mem = MainMemory::new();
         let mut resident: HashMap<(u32, u32), u32> = HashMap::new(); // (set, way) -> tag
         for addr16 in addrs {
             let addr = u32::from(addr16);
-            let out = cache.access(addr, AccessKind::Load, &mut mem);
+            let out = cache.access(addr, AccessKind::Load);
             if let Some(ev) = out.evicted {
                 prop_assert_eq!(ev.index, out.index, "eviction outside accessed set");
                 prop_assert_eq!(ev.way, out.way);
@@ -112,15 +167,13 @@ proptest! {
     fn fills_equal_misses(addrs in prop::collection::vec(any::<u16>(), 1..200)) {
         let geom = Geometry::new(8, 2, 16).unwrap();
         let mut cache = SetAssocCache::new(geom);
-        let mut mem = MainMemory::new();
         let mut misses = 0u64;
         for addr16 in addrs {
-            let out = cache.access(u32::from(addr16), AccessKind::Load, &mut mem);
+            let out = cache.access(u32::from(addr16), AccessKind::Load);
             if !out.hit {
                 misses += 1;
             }
         }
         prop_assert_eq!(cache.fills(), misses);
-        prop_assert_eq!(mem.block_reads(), misses);
     }
 }

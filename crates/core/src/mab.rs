@@ -86,10 +86,26 @@ impl MabStats {
     }
 }
 
+/// Valid bit of a packed tag-row key (above the tag and the 2-bit cflag).
+const ROW_VALID: u64 = 1 << 34;
+/// Valid bit of a packed set-index column key.
+const COL_VALID: u64 = 1 << 32;
+/// Valid bit of a packed (row, column) pair; the low bits hold the way.
+const PAIR_VALID: u64 = 1 << 32;
+
+/// The comparator results of one narrow probe: what [`Mab::lookup`] hands
+/// to the [`Mab::record`] call that follows a miss, so the record needs no
+/// second add or scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct TagRow {
-    base_tag: u32,
-    cflag: Cflag,
+struct Probe {
+    base: u32,
+    disp: i32,
+    row_key: u64,
+    col_key: u64,
+    row: Option<usize>,
+    col: Option<usize>,
+    set_index: u32,
+    offset: u32,
 }
 
 /// The Memory Address Buffer: `N_t` tag rows × `N_s` set-index columns with
@@ -100,6 +116,11 @@ struct TagRow {
 /// [`invalidate_location`](Self::invalidate_location) whenever the cache
 /// replaces a line, which keeps every valid pair pointing at a resident
 /// line. See the crate docs for the soundness argument.
+///
+/// Entries are kept in flat arrays of packed keys: a row is its base tag,
+/// carry, negative and valid bits in one word, a column its set index and
+/// valid bit, and a pair its way and valid bit. A probe is then one
+/// integer compare per entry.
 ///
 /// ```
 /// use waymem_core::{Mab, MabConfig, MabLookup};
@@ -119,12 +140,17 @@ struct TagRow {
 pub struct Mab {
     cfg: MabConfig,
     adder: SmallAdder,
-    rows: Vec<Option<TagRow>>,
-    cols: Vec<Option<u32>>,
-    vflag: Vec<bool>,
-    ways: Vec<u32>,
+    /// Packed tag rows: base tag, cflag << 32, `ROW_VALID`; 0 when empty.
+    rows: Vec<u64>,
+    /// Packed set-index columns: set index, `COL_VALID`; 0 when empty.
+    cols: Vec<u64>,
+    /// Packed pairs, row-major: way, `PAIR_VALID`; 0 when invalid.
+    pairs: Vec<u64>,
     row_lru: LruOrder,
     col_lru: LruOrder,
+    /// The latest narrow lookup, still exact: `record` consumes it and
+    /// `invalidate_all` drops it, the only calls that move keys.
+    last: Option<Probe>,
     stats: MabStats,
 }
 
@@ -137,12 +163,12 @@ impl Mab {
         Self {
             cfg,
             adder: SmallAdder::new(cfg.geometry()),
-            rows: vec![None; nt],
-            cols: vec![None; ns],
-            vflag: vec![false; nt * ns],
-            ways: vec![0; nt * ns],
+            rows: vec![0; nt],
+            cols: vec![0; ns],
+            pairs: vec![0; nt * ns],
             row_lru: LruOrder::new(nt),
             col_lru: LruOrder::new(ns),
+            last: None,
             stats: MabStats::default(),
         }
     }
@@ -170,20 +196,31 @@ impl Mab {
         self.stats = MabStats::default();
     }
 
-    fn pair(&self, row: usize, col: usize) -> usize {
-        row * self.cfg.set_entries() + col
-    }
-
-    fn find_row(&self, base_tag: u32, cflag: Cflag) -> Option<usize> {
-        self.rows.iter().position(
-            |r| matches!(r, Some(t) if t.base_tag == base_tag && t.cflag == cflag),
-        )
-    }
-
-    fn find_col(&self, set_index: u32) -> Option<usize> {
-        self.cols
-            .iter()
-            .position(|c| matches!(c, Some(s) if *s == set_index))
+    /// Runs the narrow adder and both comparator scans for `base + disp`;
+    /// `None` for a wide displacement.
+    fn probe(&self, base: u32, disp: i32) -> Option<Probe> {
+        let r = self.adder.add(base, disp);
+        if r.class == DispClass::Wide {
+            return None;
+        }
+        let cflag = Cflag {
+            carry: r.carry,
+            negative: r.class == DispClass::Ones,
+        };
+        let row_key = u64::from(self.cfg.geometry().tag_of(base))
+            | u64::from(cflag.encode()) << 32
+            | ROW_VALID;
+        let col_key = u64::from(r.set_index) | COL_VALID;
+        Some(Probe {
+            base,
+            disp,
+            row_key,
+            col_key,
+            row: self.rows.iter().position(|&k| k == row_key),
+            col: self.cols.iter().position(|&k| k == col_key),
+            set_index: r.set_index,
+            offset: r.offset,
+        })
     }
 
     /// Probes the MAB for the access `base + disp`.
@@ -192,42 +229,31 @@ impl Mab {
     /// recently used (the probe is the use). Misses do not change recency;
     /// the subsequent [`record`](Self::record) call does.
     pub fn lookup(&mut self, base: u32, disp: i32) -> MabLookup {
-        let r = self.adder.add(base, disp);
-        if r.class == DispClass::Wide {
+        let Some(p) = self.probe(base, disp) else {
             self.stats.wide_bypasses += 1;
             return MabLookup::Wide;
-        }
-        self.stats.lookups += 1;
-        let cflag = Cflag {
-            carry: r.carry,
-            negative: r.class == DispClass::Ones,
         };
-        let base_tag = self.cfg.geometry().tag_of(base);
-        let row = self.find_row(base_tag, cflag);
-        let col = self.find_col(r.set_index);
-        if row.is_some() {
-            self.stats.row_hits += 1;
-        }
-        if col.is_some() {
-            self.stats.col_hits += 1;
-        }
-        if let (Some(row), Some(col)) = (row, col) {
-            let p = self.pair(row, col);
-            if self.vflag[p] {
+        self.stats.lookups += 1;
+        self.stats.row_hits += u64::from(p.row.is_some());
+        self.stats.col_hits += u64::from(p.col.is_some());
+        self.last = Some(p);
+        if let (Some(row), Some(col)) = (p.row, p.col) {
+            let pair = self.pairs[row * self.cols.len() + col];
+            if pair != 0 {
                 self.stats.hits += 1;
                 self.row_lru.touch(row);
                 self.col_lru.touch(col);
                 return MabLookup::Hit {
-                    way: self.ways[p],
-                    set_index: r.set_index,
-                    offset: r.offset,
+                    way: pair as u32,
+                    set_index: p.set_index,
+                    offset: p.offset,
                 };
             }
         }
         MabLookup::Miss {
-            row_hit: row.is_some(),
-            col_hit: col.is_some(),
-            set_index: r.set_index,
+            row_hit: p.row.is_some(),
+            col_hit: p.col.is_some(),
+            set_index: p.set_index,
         }
     }
 
@@ -242,44 +268,42 @@ impl Mab {
     /// 4. both miss → replace LRU row and LRU column, then set
     ///    `vflag[r][c]`.
     ///
+    /// When the previous [`lookup`](Self::lookup) probed the same
+    /// `(base, disp)`, its adder result and matches are reused.
+    ///
     /// Returns `None` (and records nothing) for wide displacements, which
     /// the hardware cannot represent.
     pub fn record(&mut self, base: u32, disp: i32, way: u32) -> Option<RecordOutcome> {
-        let r = self.adder.add(base, disp);
-        if r.class == DispClass::Wide {
-            return None;
-        }
-        let cflag = Cflag {
-            carry: r.carry,
-            negative: r.class == DispClass::Ones,
+        let p = match self.last.take() {
+            Some(p) if p.base == base && p.disp == disp => p,
+            _ => self.probe(base, disp)?,
         };
-        let base_tag = self.cfg.geometry().tag_of(base);
-
-        let (row, row_reused) = match self.find_row(base_tag, cflag) {
+        let ns = self.cols.len();
+        let (row, row_reused) = match p.row {
             Some(row) => (row, true),
             None => {
                 let victim = self.row_lru.victim();
-                self.clear_row(victim);
-                self.rows[victim] = Some(TagRow { base_tag, cflag });
+                self.pairs[victim * ns..(victim + 1) * ns].fill(0);
+                self.rows[victim] = p.row_key;
                 self.stats.row_replacements += 1;
                 (victim, false)
             }
         };
-        let (col, col_reused) = match self.find_col(r.set_index) {
+        let (col, col_reused) = match p.col {
             Some(col) => (col, true),
             None => {
                 let victim = self.col_lru.victim();
-                self.clear_col(victim);
-                self.cols[victim] = Some(r.set_index);
+                for pair in self.pairs.iter_mut().skip(victim).step_by(ns) {
+                    *pair = 0;
+                }
+                self.cols[victim] = p.col_key;
                 self.stats.col_replacements += 1;
                 (victim, false)
             }
         };
         self.row_lru.touch(row);
         self.col_lru.touch(col);
-        let p = self.pair(row, col);
-        self.vflag[p] = true;
-        self.ways[p] = way;
+        self.pairs[row * ns + col] = u64::from(way) | PAIR_VALID;
         Some(RecordOutcome {
             row,
             col,
@@ -288,40 +312,25 @@ impl Mab {
         })
     }
 
-    fn clear_row(&mut self, row: usize) {
-        for col in 0..self.cfg.set_entries() {
-            let p = self.pair(row, col);
-            self.vflag[p] = false;
-        }
-        self.rows[row] = None;
-    }
-
-    fn clear_col(&mut self, col: usize) {
-        for row in 0..self.cfg.tag_entries() {
-            let p = self.pair(row, col);
-            self.vflag[p] = false;
-        }
-        self.cols[col] = None;
-    }
-
     /// Clears every valid pair that memoizes cache location
     /// (`set_index`, `way`). The cache front-end calls this when a fill
     /// replaces the line at that location, keeping MAB hits sound.
     ///
-    /// Returns the number of pairs cleared (0 or 1 when the structure is
-    /// consistent, since at most one pair can describe one location).
+    /// Only the one column holding `set_index` is scanned: `record` never
+    /// installs a duplicate column. Returns the number of pairs cleared (0
+    /// or 1 when the structure is consistent, since at most one pair can
+    /// describe one location).
     pub fn invalidate_location(&mut self, set_index: u32, way: u32) -> usize {
+        let key = u64::from(set_index) | COL_VALID;
+        let Some(col) = self.cols.iter().position(|&k| k == key) else {
+            return 0;
+        };
+        let target = u64::from(way) | PAIR_VALID;
         let mut cleared = 0;
-        for col in 0..self.cfg.set_entries() {
-            if self.cols[col] != Some(set_index) {
-                continue;
-            }
-            for row in 0..self.cfg.tag_entries() {
-                let p = self.pair(row, col);
-                if self.vflag[p] && self.ways[p] == way {
-                    self.vflag[p] = false;
-                    cleared += 1;
-                }
+        for pair in self.pairs.iter_mut().skip(col).step_by(self.cols.len()) {
+            if *pair == target {
+                *pair = 0;
+                cleared += 1;
             }
         }
         self.stats.invalidated_pairs += cleared as u64;
@@ -331,15 +340,16 @@ impl Mab {
     /// Clears every entry and pair (e.g. on a cache flush or context
     /// switch). Statistics are preserved.
     pub fn invalidate_all(&mut self) {
-        self.rows.fill(None);
-        self.cols.fill(None);
-        self.vflag.fill(false);
+        self.rows.fill(0);
+        self.cols.fill(0);
+        self.pairs.fill(0);
+        self.last = None;
     }
 
     /// Number of currently valid (row, column) pairs.
     #[must_use]
     pub fn valid_pairs(&self) -> usize {
-        self.vflag.iter().filter(|&&v| v).count()
+        self.pairs.iter().filter(|&&p| p != 0).count()
     }
 
     /// Iterates over valid pairs as `(set_index, way, effective_tag)`
@@ -348,21 +358,21 @@ impl Mab {
     pub fn claims(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
         let geom = self.cfg.geometry();
         let tag_mask = (1u32 << geom.tag_bits()) - 1;
-        (0..self.cfg.tag_entries()).flat_map(move |row| {
-            (0..self.cfg.set_entries()).filter_map(move |col| {
-                let p = self.pair(row, col);
-                if !self.vflag[p] {
-                    return None;
-                }
-                let trow = self.rows[row]?;
-                let set_index = self.cols[col]?;
-                let adjust = match (trow.cflag.carry, trow.cflag.negative) {
-                    (c, false) => u32::from(c),
-                    (c, true) => u32::from(c).wrapping_sub(1),
-                };
-                let eff_tag = trow.base_tag.wrapping_add(adjust) & tag_mask;
-                Some((set_index, self.ways[p], eff_tag))
-            })
+        let ns = self.cols.len();
+        self.pairs.iter().enumerate().filter_map(move |(p, &pair)| {
+            if pair == 0 {
+                return None;
+            }
+            // A valid pair's row and column are valid: replacing either
+            // clears its pairs first.
+            let (row, col) = (self.rows[p / ns], self.cols[p % ns]);
+            let cflag = Cflag::decode((row >> 32) as u8 & 0b11);
+            let adjust = match (cflag.carry, cflag.negative) {
+                (c, false) => u32::from(c),
+                (c, true) => u32::from(c).wrapping_sub(1),
+            };
+            let eff_tag = (row as u32).wrapping_add(adjust) & tag_mask;
+            Some((col as u32, pair as u32, eff_tag))
         })
     }
 }

@@ -1,8 +1,8 @@
 //! D-cache front-ends (paper Figures 4–5 plus ablations).
 
 use waymem_cache::{
-    AccessKind, AccessOutcome, AccessStats, Geometry, LineBuffer, MainMemory, SetAssocCache,
-    SetBuffer, SetBufferLookup,
+    AccessKind, AccessOutcome, AccessStats, Geometry, LineBuffer, SetAssocCache, SetBuffer,
+    SetBufferLookup,
 };
 use waymem_core::{Mab, MabConfig, MabLookup, MabStats};
 use waymem_hwmodel::{EnergyCounts, MabShape};
@@ -141,7 +141,6 @@ impl DScheme {
             scheme: self,
             geom,
             cache: SetAssocCache::new(geom),
-            mem: MainMemory::new(),
             stats: AccessStats::new(),
             mab,
             set_buffer,
@@ -153,16 +152,15 @@ impl DScheme {
 
 /// A trace-driven D-cache model under one scheme.
 ///
-/// The front-end owns a private cache and dummy backing memory: it tracks
-/// residency, LRU and dirty state driven purely by the address stream (the
-/// CPU's architectural data lives elsewhere), which is exactly what the
-/// energy accounting needs.
+/// The front-end owns a private tag-only cache: it tracks residency, LRU
+/// and dirty state driven purely by the address stream (the CPU's
+/// architectural data lives elsewhere), which is exactly what the energy
+/// accounting needs.
 #[derive(Debug)]
 pub struct DFront {
     scheme: DScheme,
     geom: Geometry,
     cache: SetAssocCache,
-    mem: MainMemory,
     stats: AccessStats,
     mab: Option<Mab>,
     set_buffer: Option<SetBuffer>,
@@ -179,10 +177,17 @@ impl DFront {
 
     /// Conventional lookup accounting + architectural access.
     fn conventional(&mut self, is_store: bool, addr: u32) -> AccessOutcome {
+        self.charge_conventional(is_store);
+        self.finish(is_store, addr)
+    }
+
+    /// The array activations of a conventional lookup: every tag, and
+    /// every data way for a load (one for a store, via the write-back
+    /// buffer).
+    fn charge_conventional(&mut self, is_store: bool) {
         let w = u64::from(self.geom.ways());
         self.stats.tag_reads += w;
         self.stats.way_reads += if is_store { 1 } else { w };
-        self.finish(is_store, addr)
     }
 
     /// Architectural access with hit/miss/fill accounting (no lookup cost).
@@ -192,7 +197,7 @@ impl DFront {
         } else {
             AccessKind::Load
         };
-        let out = self.cache.access(addr, kind, &mut self.mem);
+        let out = self.cache.access(addr, kind);
         if out.hit {
             self.stats.hits += 1;
         } else {
@@ -219,17 +224,19 @@ impl DFront {
         out
     }
 
-    /// A known-way access (MAB / buffer / predictor hit): one way, no tags.
-    fn known_way(&mut self, is_store: bool, addr: u32, way: u32) {
-        debug_assert_eq!(
-            self.cache.probe(addr),
-            Some(way),
-            "known-way access must target a resident line ({})",
-            self.scheme.name()
-        );
+    /// A known-way access (MAB / buffer hit): one way, no tags. The
+    /// access's own outcome checks the way; a disagreement is counted in
+    /// [`AccessStats::wrong_way`].
+    fn known_way(&mut self, is_store: bool, addr: u32, way: u32) -> AccessOutcome {
         self.stats.way_reads += 1;
         let out = self.finish(is_store, addr);
-        debug_assert!(out.hit);
+        self.check_way(&out, way);
+        out
+    }
+
+    /// Counts an access whose known `way` disagreed with the cache.
+    fn check_way(&mut self, out: &AccessOutcome, way: u32) {
+        self.stats.wrong_way += u64::from(!out.hit || out.way != way);
     }
 
     /// Feeds one load/store into the model.
@@ -240,7 +247,9 @@ impl DFront {
                 self.conventional(is_store, addr);
             }
             DScheme::SetBuffer { .. } => self.access_set_buffer(is_store, addr),
-            DScheme::WayMemo { .. } => self.access_way_memo(is_store, base, disp, addr),
+            DScheme::WayMemo { .. } => {
+                self.access_way_memo(is_store, base, disp, addr);
+            }
             DScheme::WayMemoPaperLru { .. } => {
                 self.access_way_memo_unchecked(is_store, base, disp, addr);
             }
@@ -255,13 +264,13 @@ impl DFront {
                     return;
                 }
                 let l0 = self.line_buffer.as_mut().expect("scheme has L0");
-                if l0.lookup(addr).is_some() {
+                if let Some(way) = l0.lookup(addr) {
                     // Served entirely from the L0: buffer energy only.
                     // (L0 ⊆ L1 is maintained by eviction invalidation.)
-                    debug_assert!(self.cache.probe(addr).is_some());
                     self.stats.buffer_hits += 1;
                     self.stats.hits += 1;
-                    self.cache.access(addr, AccessKind::Load, &mut self.mem);
+                    let out = self.cache.access(addr, AccessKind::Load);
+                    self.check_way(&out, way);
                     return;
                 }
                 // L0 miss: the extra cycle the paper's §2 criticizes.
@@ -278,38 +287,31 @@ impl DFront {
                     if let Some(way) = lb.lookup(addr) {
                         // Served from the line buffer: no array activation.
                         self.stats.buffer_hits += 1;
-                        debug_assert_eq!(self.cache.probe(addr), Some(way));
                         self.stats.hits += 1;
-                        self.cache
-                            .access(addr, AccessKind::Load, &mut self.mem);
+                        let out = self.cache.access(addr, AccessKind::Load);
+                        self.check_way(&out, way);
                         return;
                     }
                 }
-                self.access_way_memo(is_store, base, disp, addr);
+                let out = self.access_way_memo(is_store, base, disp, addr);
                 // Memoize the line for subsequent loads.
-                if let Some(way) = self.cache.probe(addr) {
-                    self.line_buffer
-                        .as_mut()
-                        .expect("scheme has line buffer")
-                        .record(addr, way);
-                }
+                self.line_buffer
+                    .as_mut()
+                    .expect("scheme has line buffer")
+                    .record(addr, out.way);
             }
             DScheme::WayPredict => {
-                let index = self.geom.index_of(addr);
-                let predicted = self.cache.mru_way(index);
+                let predicted = self.cache.mru_way(self.geom.index_of(addr));
                 self.stats.tag_reads += 1;
                 self.stats.way_reads += 1;
-                if self.cache.probe(addr) == Some(predicted) {
-                    let out = self.finish(is_store, addr);
-                    debug_assert!(out.hit);
-                } else {
+                let out = self.finish(is_store, addr);
+                if !out.hit || out.way != predicted {
                     // Misprediction: re-access the remaining ways, one
                     // cycle later.
                     let w = u64::from(self.geom.ways());
                     self.stats.tag_reads += w - 1;
                     self.stats.way_reads += if is_store { 0 } else { w - 1 };
                     self.extra_cycles += 1;
-                    self.finish(is_store, addr);
                 }
             }
             DScheme::TwoPhase => {
@@ -331,16 +333,12 @@ impl DFront {
                 self.known_way(is_store, addr, way);
             }
             SetBufferLookup::SetKnownTagMiss | SetBufferLookup::SetMiss => {
-                self.conventional(is_store, addr);
+                let out = self.conventional(is_store, addr);
                 // Refresh the buffered copy of this set's tags.
-                let index = self.geom.index_of(addr);
-                let tags: Vec<Option<u32>> = (0..self.geom.ways())
-                    .map(|w| self.cache.tag_at(index, w))
-                    .collect();
                 self.set_buffer
                     .as_mut()
                     .expect("scheme has set buffer")
-                    .refill(index, &tags);
+                    .refill(out.index, self.cache.set_tags(out.index));
             }
         }
     }
@@ -352,14 +350,13 @@ impl DFront {
         let mab = self.mab.as_mut().expect("scheme has MAB");
         match mab.lookup(base, disp) {
             MabLookup::Hit { way, .. } => {
-                if self.cache.probe(addr) == Some(way) {
+                let out = self.finish(is_store, addr);
+                if out.hit && out.way == way {
                     self.stats.way_reads += 1;
-                    let out = self.finish(is_store, addr);
-                    debug_assert!(out.hit);
                 } else {
                     // The §3.3 LRU argument failed here.
                     self.stats.unsound_hits += 1;
-                    let out = self.conventional(is_store, addr);
+                    self.charge_conventional(is_store);
                     self.mab
                         .as_mut()
                         .expect("scheme has MAB")
@@ -379,24 +376,25 @@ impl DFront {
         }
     }
 
-    fn access_way_memo(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
+    fn access_way_memo(
+        &mut self,
+        is_store: bool,
+        base: u32,
+        disp: i32,
+        addr: u32,
+    ) -> AccessOutcome {
         let mab = self.mab.as_mut().expect("scheme has MAB");
         match mab.lookup(base, disp) {
-            MabLookup::Hit { way, set_index, .. } => {
-                debug_assert_eq!(set_index, self.geom.index_of(addr));
-                self.stats.buffer_hits += 0; // MAB hits tracked via mab stats
-                self.known_way(is_store, addr, way);
-            }
+            MabLookup::Hit { way, .. } => self.known_way(is_store, addr, way),
             MabLookup::Miss { .. } => {
                 let out = self.conventional(is_store, addr);
                 self.mab
                     .as_mut()
                     .expect("scheme has MAB")
                     .record(base, disp, out.way);
+                out
             }
-            MabLookup::Wide => {
-                self.conventional(is_store, addr);
-            }
+            MabLookup::Wide => self.conventional(is_store, addr),
         }
     }
 
@@ -572,7 +570,7 @@ mod tests {
     #[test]
     fn way_memo_survives_eviction_soundly() {
         // Fill a set with conflicting lines and make sure stale MAB pairs
-        // never produce a wrong known-way access (debug_assert would fire).
+        // never produce a wrong known-way access (counted in wrong_way).
         let g = Geometry::new(4, 2, 16).unwrap();
         let mut f = DScheme::WayMemo {
             tag_entries: 2,
@@ -585,7 +583,20 @@ mod tests {
                 f.access(round % 2 == 0, base, 0, base);
             }
         }
+        assert_eq!(f.stats().wrong_way, 0);
         assert!(f.stats().is_consistent());
+    }
+
+    #[test]
+    fn wrong_way_counts_a_lying_mab_in_release_builds() {
+        let mut f = DScheme::paper_way_memo().build(geom());
+        f.access(false, 0x3000, 0, 0x3000); // miss, MAB memoizes way 0
+        // Corrupt the memoized way behind the front-end's back.
+        f.mab.as_mut().expect("MAB scheme").record(0x3000, 0, 1);
+        f.access(false, 0x3000, 4, 0x3004); // MAB hit on the wrong way
+        let s = f.stats();
+        assert_eq!((s.mab_hits, s.wrong_way), (1, 1));
+        assert!(!s.is_consistent());
     }
 
     #[test]
@@ -752,8 +763,9 @@ mod tests {
             set_entries: 4,
         }
         .build(g);
-        paper_lru_counterexample(&mut f); // known-way debug asserts active
+        paper_lru_counterexample(&mut f); // known-way accesses audited
         assert_eq!(f.stats().unsound_hits, 0);
+        assert_eq!(f.stats().wrong_way, 0);
         assert!(f.stats().is_consistent());
     }
 

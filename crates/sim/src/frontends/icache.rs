@@ -9,7 +9,7 @@
 //! Figure 2 choosing between (PC, stride), (PC, branch offset) and the
 //! link-register value.
 
-use waymem_cache::{AccessKind, AccessStats, Geometry, MainMemory, SetAssocCache};
+use waymem_cache::{AccessKind, AccessOutcome, AccessStats, Geometry, SetAssocCache};
 use waymem_core::{Mab, MabConfig, MabLookup, MabStats};
 use waymem_hwmodel::{EnergyCounts, MabShape};
 use waymem_isa::{FetchKind, TraceEvent, TraceSink};
@@ -107,7 +107,6 @@ impl IScheme {
             scheme: self,
             geom,
             cache: SetAssocCache::new(geom),
-            mem: MainMemory::new(),
             stats: AccessStats::new(),
             mab,
             links,
@@ -125,7 +124,6 @@ pub struct IFront {
     scheme: IScheme,
     geom: Geometry,
     cache: SetAssocCache,
-    mem: MainMemory,
     stats: AccessStats,
     mab: Option<Mab>,
     links: Option<LinkTable>,
@@ -150,11 +148,11 @@ impl IFront {
         let w = u64::from(self.geom.ways());
         self.stats.tag_reads += w;
         self.stats.way_reads += w;
-        self.finish(packet)
+        self.finish(packet).way
     }
 
-    fn finish(&mut self, packet: u32) -> u32 {
-        let out = self.cache.access(packet, AccessKind::Load, &mut self.mem);
+    fn finish(&mut self, packet: u32) -> AccessOutcome {
+        let out = self.cache.access(packet, AccessKind::Load);
         if out.hit {
             self.stats.hits += 1;
         } else {
@@ -170,18 +168,17 @@ impl IFront {
                 btb.invalidate_target(out.index, out.way);
             }
         }
-        out.way
+        out
     }
 
+    /// A known-way fetch (intra-line, MAB, link or BTB hit): one way, no
+    /// tags. The access's own outcome checks the way; a disagreement is
+    /// counted in [`AccessStats::wrong_way`].
     fn known_way(&mut self, packet: u32, way: u32) -> u32 {
-        debug_assert_eq!(
-            self.cache.probe(packet),
-            Some(way),
-            "known-way fetch must target a resident line ({})",
-            self.scheme.name()
-        );
         self.stats.way_reads += 1;
-        self.finish(packet)
+        let out = self.finish(packet);
+        self.stats.wrong_way += u64::from(!out.hit || out.way != way);
+        out.way
     }
 
     /// Feeds one instruction fetch into the model.
@@ -312,10 +309,7 @@ impl IFront {
     fn mab_fetch(&mut self, packet: u32, base: u32, disp: i32) -> u32 {
         let mab = self.mab.as_mut().expect("scheme has MAB");
         match mab.lookup(base, disp) {
-            MabLookup::Hit { way, set_index, .. } => {
-                debug_assert_eq!(set_index, self.geom.index_of(packet));
-                self.known_way(packet, way)
-            }
+            MabLookup::Hit { way, .. } => self.known_way(packet, way),
             MabLookup::Miss { .. } => {
                 let way = self.conventional(packet);
                 self.mab
@@ -535,6 +529,23 @@ mod tests {
     }
 
     #[test]
+    fn wrong_way_counts_a_lying_mab_in_release_builds() {
+        let mut f = IScheme::paper_way_memo().build(geom());
+        let branch = FetchKind::TakenBranch {
+            base: 0x2000,
+            disp: 0x100,
+        };
+        f.fetch(0x2100, branch); // miss, MAB memoizes way 0
+        assert_eq!(f.stats().wrong_way, 0);
+        // Corrupt the memoized way behind the front-end's back.
+        f.mab.as_mut().expect("MAB scheme").record(0x2000, 0x100, 1);
+        f.fetch(0x2100, branch); // MAB hit on the wrong way
+        let s = f.stats();
+        assert_eq!((s.mab_hits, s.wrong_way), (1, 1));
+        assert!(!s.is_consistent());
+    }
+
+    #[test]
     fn way_memo_handles_link_returns() {
         let mut f = IScheme::paper_way_memo().build(geom());
         let call_site = 0x3000u32;
@@ -591,7 +602,7 @@ mod tests {
     #[test]
     fn mab_claims_match_residency_under_conflict_pressure() {
         // Jump between many lines that collide in the cache so fills evict
-        // memoized lines; debug asserts + claims check soundness.
+        // memoized lines; wrong_way + claims check soundness.
         let g = Geometry::new(8, 2, 32).unwrap();
         let mut f = IScheme::WayMemo {
             tag_entries: 2,
@@ -617,6 +628,7 @@ mod tests {
                 }
             }
         }
+        assert_eq!(f.stats().wrong_way, 0);
     }
 
     #[test]
@@ -654,7 +666,7 @@ mod tests {
     #[test]
     fn link_memo_invalidates_on_replacement() {
         // Conflict-heavy jumping on a tiny cache: links must never produce
-        // a wrong known-way (debug asserts check), and invalidations must
+        // a wrong known-way (wrong_way counts it), and invalidations must
         // actually occur.
         let g = Geometry::new(8, 2, 32).unwrap();
         let mut f = IScheme::LinkMemo.build(g);

@@ -66,7 +66,7 @@ fn benchmark_results_are_independent_of_attached_frontends() {
 #[test]
 fn dmab_claims_match_cache_residency_after_full_runs() {
     // After an entire benchmark, every valid MAB pair must still describe
-    // a resident line (the per-access debug_asserts cover the interim).
+    // a resident line (the wrong_way counter covers the interim).
     for &bench in &[Benchmark::Fft, Benchmark::Mpeg2Enc] {
         let wl = bench.workload(1).expect("assembles");
         let geometry = Geometry::frv();
@@ -97,7 +97,7 @@ fn dmab_claims_match_cache_residency_after_full_runs() {
 #[test]
 fn smaller_caches_stress_invalidation_without_unsoundness() {
     // A 1 kB cache under a real benchmark forces constant evictions; the
-    // known-way debug_asserts in the front-ends catch any stale-way use.
+    // front-ends count any stale-way use in wrong_way.
     let geometry = Geometry::new(16, 2, 32).expect("valid");
     let r = Experiment::kernel(Benchmark::JpegEnc)
         .geometry(geometry)
@@ -107,6 +107,7 @@ fn smaller_caches_stress_invalidation_without_unsoundness() {
         .expect("runs");
     let d = &r.dcache[0].stats;
     assert!(d.misses > 100, "tiny cache must actually miss a lot");
+    assert_eq!(d.wrong_way, 0);
     assert!(d.is_consistent());
     // MAB still achieves hits despite the churn.
     assert!(d.mab_hits > 0);
@@ -136,4 +137,33 @@ fn all_schemes_observe_identical_access_streams() {
     // Identical hits/misses too: lookup scheme must not change residency.
     let d_hits: Vec<u64> = r.dcache.iter().map(|s| s.stats.hits).collect();
     assert!(d_hits.windows(2).all(|w| w[0] == w[1]), "{d_hits:?}");
+}
+
+#[test]
+fn no_known_way_access_targets_the_wrong_way() {
+    // The paper's safety property, counted in every build: for every
+    // kernel (and the miss-heavy synthetic patterns) and every D- and
+    // I-scheme, at the FR-V geometry and at a 1 kB geometry that evicts
+    // constantly, no MAB, buffer, link or intra-line hit may name a way
+    // that does not hold the line.
+    for geometry in [Geometry::frv(), Geometry::new(16, 2, 32).expect("valid")] {
+        let results = Suite::kernels()
+            .workloads(waymem::ingest::synth::standard_suite(20_000))
+            .geometry(geometry)
+            .dschemes(waymem::sim::full_dschemes())
+            .ischemes(waymem::sim::full_ischemes())
+            .run()
+            .expect("runs");
+        assert_eq!(results.len(), Benchmark::ALL.len() + 7);
+        let mut memo_hits = 0;
+        for r in results.iter() {
+            for s in r.dcache.iter().chain(&r.icache) {
+                let what = format!("{:?} {} at {geometry:?}", r.workload, s.name);
+                assert_eq!(s.stats.wrong_way, 0, "{what}");
+                assert!(s.stats.is_consistent(), "{what}");
+                memo_hits += s.stats.mab_hits;
+            }
+        }
+        assert!(memo_hits > 0, "known-way paths exercised at {geometry:?}");
+    }
 }
