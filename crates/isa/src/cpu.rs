@@ -606,6 +606,108 @@ main:   la  t0, v
         );
     }
 
+    fn addi(rd: u8, rs1: u8, imm: i16) -> u32 {
+        Inst::AluImm {
+            op: AluImmOp::Addi,
+            rd: Reg::new(rd).unwrap(),
+            rs1: Reg::new(rs1).unwrap(),
+            imm,
+        }
+        .encode()
+    }
+
+    #[test]
+    fn store_into_own_text_executes_the_new_instruction() {
+        // `patch` runs twice: once as written, once after the store
+        // overwrote it with `addi a0, a0, 100`.
+        let src = format!(
+            r#"
+            .data
+new:    .word {}
+            .text
+main:   la   t0, patch
+        la   t2, new
+        lw   t1, 0(t2)
+        li   a0, 0
+        li   t3, 2
+patch:  addi a0, a0, 1
+        sw   t1, 0(t0)
+        addi t3, t3, -1
+        bnez t3, patch
+        halt
+        "#,
+            addi(10, 10, 100)
+        );
+        let cpu = run_asm(&src);
+        assert_eq!(cpu.reg(10), 101);
+    }
+
+    #[test]
+    fn store_of_an_illegal_word_into_text_faults_at_that_pc() {
+        let prog = crate::assemble(
+            r#"
+            .data
+junk:   .word 0xdeadbeef
+            .text
+main:   la   t0, bad
+        la   t2, junk
+        lw   t1, 0(t2)
+        sw   t1, 0(t0)
+bad:    halt
+        "#,
+        )
+        .unwrap();
+        let mut cpu = Cpu::new(&prog);
+        let err = cpu.run(100, &mut NullSink).unwrap_err();
+        assert_eq!(
+            err,
+            CpuError::IllegalInstruction {
+                pc: prog.symbol("bad").unwrap(),
+                word: 0xdead_beef
+            }
+        );
+    }
+
+    #[test]
+    fn mem_mut_writes_into_text_are_honoured() {
+        let prog = Program::from_insts(&[
+            Inst::decode(addi(10, 0, 1)).unwrap(),
+            Inst::Halt,
+        ]);
+        let mut cpu = Cpu::new(&prog);
+        cpu.mem_mut().write_u32(TEXT_BASE, addi(10, 0, 7));
+        cpu.run(10, &mut NullSink).unwrap();
+        assert!(cpu.is_halted());
+        assert_eq!(cpu.reg(10), 7);
+    }
+
+    #[test]
+    fn jump_into_data_executes_words_from_memory() {
+        let src = format!(
+            r#"
+            .data
+code:   .word {}
+        .word {}
+            .text
+main:   la   t0, code
+        jr   t0
+        "#,
+            addi(10, 0, 9),
+            Inst::Halt.encode()
+        );
+        let prog = crate::assemble(&src).unwrap();
+        let mut cpu = Cpu::new(&prog);
+        let mut sink = RecordingSink::default();
+        cpu.run(100, &mut sink).unwrap();
+        assert!(cpu.is_halted());
+        assert_eq!(cpu.reg(10), 9);
+        let code = prog.symbol("code").unwrap();
+        assert!(sink
+            .events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Fetch { pc, .. } if *pc == code + 4)));
+    }
+
     #[test]
     fn register_zero_is_immutable() {
         let cpu = run_asm(".text\nmain: li t0, 5\n add zero, t0, t0\n halt\n");
