@@ -1,11 +1,12 @@
-//! Criterion benchmark of the frv-lite interpreter: instructions per
-//! second executing the DCT kernel end-to-end with a null sink and with
+//! Criterion benchmark of the frv-lite interpreter: the DCT kernel
+//! executed end-to-end with a null sink, recorded into split fetch/data
+//! streams by `record_trace` (the layer a cold run pays for), and with
 //! the full Figure 4/6 front-end fan-out attached — the cost of a whole
 //! simulated experiment.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use waymem_isa::{Cpu, NullSink};
-use waymem_sim::{DScheme, Experiment, IScheme};
+use waymem_sim::{record_trace, DScheme, Experiment, IScheme, SimConfig};
 use waymem_workloads::Benchmark;
 
 fn bench_interpreter(c: &mut Criterion) {
@@ -18,6 +19,10 @@ fn bench_interpreter(c: &mut Criterion) {
             cpu.run(wl.max_steps, &mut NullSink).expect("runs");
             black_box(cpu.instret())
         })
+    });
+    let cfg = SimConfig::default();
+    group.bench_function("dct_recording", |b| {
+        b.iter(|| black_box(record_trace(Benchmark::Dct, &cfg).expect("records").len()))
     });
     group.finish();
 }

@@ -24,12 +24,11 @@
 //!   set-buffer, intra-line memoization, MAB) and record it in
 //!   [`AccessStats`]. The cache itself never guesses energy.
 //!
-//! [`MainMemory`] is the flat byte memory the frv-lite interpreter executes
-//! against. Auxiliary hardware structures used by the baselines and by the
-//! paper's "future work" hybrid also live here: [`WriteBackBuffer`] (lets
-//! stores activate a single data way), [`LineBuffer`] (Su & Despain /
+//! Auxiliary hardware structures used by the baselines and by the paper's
+//! "future work" hybrid also live here: [`LineBuffer`] (Su & Despain /
 //! filter-style single-line L0) and [`SetBuffer`] (Yang et al., approach
-//! \[14\]).
+//! \[14\]). The flat byte memory the frv-lite interpreter executes against
+//! lives beside the interpreter, in `waymem-isa`.
 //!
 //! ## Quick example
 //!
@@ -57,17 +56,13 @@ mod error;
 mod geometry;
 mod line_buffer;
 mod lru;
-mod memory;
 mod set_buffer;
 mod stats;
-mod wb_buffer;
 
 pub use cache::{AccessKind, AccessOutcome, EvictedLine, FillOutcome, SetAssocCache};
 pub use error::GeometryError;
 pub use geometry::Geometry;
 pub use line_buffer::LineBuffer;
 pub use lru::LruOrder;
-pub use memory::MainMemory;
 pub use set_buffer::{SetBuffer, SetBufferLookup};
 pub use stats::AccessStats;
-pub use wb_buffer::WriteBackBuffer;

@@ -1,10 +1,8 @@
 use std::error::Error;
 use std::fmt;
 
-use waymem_cache::MainMemory;
-
 use crate::inst::{AluImmOp, AluOp, MemWidth};
-use crate::{FetchKind, Inst, Program, Reg, TraceSink, STACK_TOP};
+use crate::{FetchKind, Inst, MainMemory, Program, Reg, TraceSink, STACK_TOP};
 
 /// Execution error raised by [`Cpu::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +71,19 @@ impl RunOutcome {
 /// writes; `div`/`rem` by zero follow the RISC-V convention (all-ones /
 /// dividend) instead of trapping, so workloads never fault on data.
 ///
+/// The text segment is decoded once, in [`new`](Self::new), into a
+/// per-word table; a fetch from a word-aligned PC inside the text range
+/// takes its instruction from there instead of reading and decoding
+/// memory. The table never changes what executes:
+///
+/// - a store that lands in the text range drops that word's entry, so
+///   self-modifying code runs the stored word, and a stored illegal word
+///   raises [`CpuError::IllegalInstruction`] at its PC;
+/// - [`mem_mut`](Self::mem_mut) drops every entry;
+/// - a dropped entry is decoded from memory on its next fetch, and any
+///   PC outside the table (a jump into data, say) is always read and
+///   decoded from memory.
+///
 /// ```
 /// use waymem_isa::{assemble, Cpu, NullSink};
 ///
@@ -93,6 +104,10 @@ pub struct Cpu {
     instret: u64,
     halted: bool,
     next_fetch_kind: FetchKind,
+    /// Base address of the predecoded text range.
+    text_base: u32,
+    /// One entry per text word; `None` means "read and decode memory".
+    text: Vec<Option<Inst>>,
 }
 
 impl Cpu {
@@ -102,6 +117,12 @@ impl Cpu {
     pub fn new(prog: &Program) -> Self {
         let mut mem = MainMemory::new();
         prog.load_into(&mut mem);
+        // Decoded from memory, not from `prog.text()`, in case the data
+        // image overlaps the text.
+        let text_base = prog.text_base();
+        let text = (0..prog.text().len() as u32)
+            .map(|i| Inst::decode(mem.read_u32(text_base.wrapping_add(4 * i))))
+            .collect();
         let mut regs = [0u32; 32];
         regs[Reg::SP.index()] = STACK_TOP;
         Self {
@@ -111,6 +132,8 @@ impl Cpu {
             instret: 0,
             halted: false,
             next_fetch_kind: FetchKind::Sequential,
+            text_base,
+            text,
         }
     }
 
@@ -160,8 +183,43 @@ impl Cpu {
     }
 
     /// Mutable access to the CPU's memory (test setup, I/O injection).
+    ///
+    /// Drops the whole predecoded text table, so any write made through
+    /// the borrow is honoured by the next fetch.
     pub fn mem_mut(&mut self) -> &mut MainMemory {
+        self.text.fill(None);
         &mut self.mem
+    }
+
+    /// Index of `pc` in the predecoded table, if it has one there.
+    #[inline(always)]
+    fn text_index(&self, pc: u32) -> Option<usize> {
+        let off = pc.wrapping_sub(self.text_base);
+        let idx = (off >> 2) as usize;
+        (off & 3 == 0 && idx < self.text.len()).then_some(idx)
+    }
+
+    /// The instruction at `pc`: from the table when it holds one,
+    /// otherwise read and decoded from memory.
+    #[inline(always)]
+    fn fetch_inst(&mut self, pc: u32) -> Result<Inst, CpuError> {
+        if let Some(&Some(inst)) = self.text_index(pc).map(|i| &self.text[i]) {
+            return Ok(inst);
+        }
+        self.fetch_from_memory(pc)
+    }
+
+    /// Reads and decodes the word at `pc`, caching the result when `pc`
+    /// is a text word.
+    #[cold]
+    #[inline(never)]
+    fn fetch_from_memory(&mut self, pc: u32) -> Result<Inst, CpuError> {
+        let word = self.mem.read_u32(pc);
+        let inst = Inst::decode(word).ok_or(CpuError::IllegalInstruction { pc, word })?;
+        if let Some(i) = self.text_index(pc) {
+            self.text[i] = Some(inst);
+        }
+        Ok(inst)
     }
 
     fn rd(&self, r: Reg) -> u32 {
@@ -183,15 +241,14 @@ impl Cpu {
     ///
     /// [`CpuError::IllegalInstruction`] on an undecodable word,
     /// [`CpuError::MisalignedAccess`] on unaligned data access.
+    #[inline(always)]
     pub fn step(&mut self, sink: &mut impl TraceSink) -> Result<bool, CpuError> {
         if self.halted {
             return Ok(false);
         }
         let pc = self.pc;
-        let word = self.mem.read_u32(pc);
-        let kind = self.next_fetch_kind;
-        sink.fetch(pc, kind);
-        let inst = Inst::decode(word).ok_or(CpuError::IllegalInstruction { pc, word })?;
+        sink.fetch(pc, self.next_fetch_kind);
+        let inst = self.fetch_inst(pc)?;
 
         let mut next_pc = pc.wrapping_add(4);
         let mut next_kind = FetchKind::Sequential;
@@ -244,6 +301,10 @@ impl Cpu {
                 check_align(pc, addr, size)?;
                 sink.store(base, disp, addr, size);
                 let v = self.rd(rs2);
+                // An aligned store touches exactly one word.
+                if let Some(i) = self.text_index(addr & !3) {
+                    self.text[i] = None;
+                }
                 match width {
                     MemWidth::Byte => self.mem.write_u8(addr, v as u8),
                     MemWidth::Half => self.mem.write_u16(addr, v as u16),
@@ -670,15 +731,27 @@ bad:    halt
 
     #[test]
     fn mem_mut_writes_into_text_are_honoured() {
-        let prog = Program::from_insts(&[
-            Inst::decode(addi(10, 0, 1)).unwrap(),
-            Inst::Halt,
-        ]);
+        let prog = Program::from_insts(&[Inst::decode(addi(10, 0, 1)).unwrap(), Inst::Halt]);
         let mut cpu = Cpu::new(&prog);
         cpu.mem_mut().write_u32(TEXT_BASE, addi(10, 0, 7));
         cpu.run(10, &mut NullSink).unwrap();
         assert!(cpu.is_halted());
         assert_eq!(cpu.reg(10), 7);
+    }
+
+    #[test]
+    fn data_image_overlapping_text_wins_as_it_does_in_memory() {
+        let prog = Program::from_parts(
+            TEXT_BASE,
+            vec![addi(10, 0, 1), Inst::Halt.encode()],
+            TEXT_BASE,
+            addi(10, 0, 5).to_le_bytes().to_vec(),
+            TEXT_BASE,
+            Default::default(),
+        );
+        let mut cpu = Cpu::new(&prog);
+        cpu.run(10, &mut NullSink).unwrap();
+        assert_eq!(cpu.reg(10), 5);
     }
 
     #[test]

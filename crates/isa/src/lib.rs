@@ -13,7 +13,7 @@
 //! 3. a **VLIW-style 8-byte fetch packet** (two 4-byte syllables), giving
 //!    the `+8` sequential stride of the paper's Figure 2.
 //!
-//! The interpreter executes against a flat [`waymem_cache::MainMemory`] and
+//! The interpreter executes against a flat [`MainMemory`] and
 //! reports every instruction fetch and data access to a [`TraceSink`],
 //! carrying the *architectural ingredients* (base register value and
 //! displacement) rather than just the final address — exactly what a MAB
@@ -46,6 +46,7 @@
 mod asm;
 mod cpu;
 mod inst;
+mod memory;
 mod program;
 mod reg;
 mod trace;
@@ -53,6 +54,7 @@ mod trace;
 pub use asm::{assemble, AsmError};
 pub use cpu::{Cpu, CpuError, RunOutcome};
 pub use inst::{AluImmOp, AluOp, BranchCond, Inst, MemWidth};
+pub use memory::MainMemory;
 pub use program::{Program, DATA_BASE, STACK_TOP, TEXT_BASE};
 pub use reg::Reg;
 pub use trace::{

@@ -1,9 +1,8 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use waymem_cache::MainMemory;
 
-use crate::Inst;
+use crate::{Inst, MainMemory};
 
 /// Default base address of the text (code) segment.
 pub const TEXT_BASE: u32 = 0x0001_0000;

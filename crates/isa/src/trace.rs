@@ -272,8 +272,8 @@ impl RecordingSink {
     /// Clamps an event-count estimate to a sane pre-allocation:
     /// [`MAX_PREALLOC_EVENTS`](Self::MAX_PREALLOC_EVENTS) at most, on
     /// overflow too. Shared by [`with_step_budget`](Self::with_step_budget)
-    /// and the sim engine's split-stream recorder so the clamp logic
-    /// cannot drift between them.
+    /// and the trace decoders, which size their streams from a count read
+    /// from a file header, so the clamp logic cannot drift between them.
     #[must_use]
     pub fn prealloc_cap(estimated_events: u64) -> usize {
         usize::try_from(estimated_events)

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use waymem_isa::{
-    assemble, AluImmOp, AluOp, BranchCond, Cpu, Inst, MemWidth, NullSink, Program, Reg,
+    assemble, AluImmOp, AluOp, BranchCond, Cpu, CpuError, Inst, MemWidth, NullSink, Program,
+    RecordingSink, Reg, RunOutcome, TEXT_BASE,
 };
 
 fn regs() -> impl Strategy<Value = Reg> {
@@ -84,6 +85,127 @@ fn insts() -> impl Strategy<Value = Inst> {
         (regs(), regs(), any::<i16>()).prop_map(|(rd, rs1, imm)| Inst::Jalr { rd, rs1, imm }),
         Just(Inst::Halt),
     ]
+}
+
+/// Register x5 holds the program's own text base; x6–x10 hold the words
+/// the program stores into its text; x31 counts loop iterations.
+const TEXT_PTR: u8 = 5;
+const LOOP_REG: u8 = 31;
+
+fn reg(index: u8) -> Reg {
+    Reg::new(index).expect("in range")
+}
+
+/// An aligned store of one of x6–x10 into one of the first 64 text
+/// words, at any width and any aligned offset inside the word.
+fn text_stores() -> impl Strategy<Value = Inst> {
+    (6u8..11, 0i16..64, 0u8..3, 0i16..4).prop_map(|(rs2, word, w, sub)| {
+        let (width, sub) = match w {
+            0 => (MemWidth::Byte, sub),
+            1 => (MemWidth::Half, sub & 2),
+            _ => (MemWidth::Word, 0),
+        };
+        Inst::Store {
+            width,
+            rs2: reg(rs2),
+            rs1: reg(TEXT_PTR),
+            imm: word * 4 + sub,
+        }
+    })
+}
+
+/// Straight-line instructions for a self-modifying loop body: ALU work
+/// on x6–x30 and stores into the program's own text.
+fn self_modifying_body() -> impl Strategy<Value = Inst> {
+    let body_rd = || (6u8..LOOP_REG).prop_map(reg);
+    prop_oneof![
+        (alu_ops(), body_rd(), regs(), regs()).prop_map(|(op, rd, rs1, rs2)| Inst::Alu {
+            op,
+            rd,
+            rs1,
+            rs2
+        }),
+        (alu_imm_ops(), body_rd(), regs(), any::<i16>())
+            .prop_map(|(op, rd, rs1, imm)| Inst::AluImm { op, rd, rs1, imm }),
+        text_stores(),
+        text_stores(),
+    ]
+}
+
+/// `lui` + `ori` loading `value` into `rd`.
+fn load_const(rd: Reg, value: u32) -> [Inst; 2] {
+    [
+        Inst::Lui {
+            rd,
+            imm: (value >> 16) as u16,
+        },
+        Inst::AluImm {
+            op: AluImmOp::Ori,
+            rd,
+            rs1: rd,
+            imm: value as u16 as i16,
+        },
+    ]
+}
+
+/// Runs `cpu` for `budget` steps the slow way: the predecoded table is
+/// dropped before every step, so every fetch reads and decodes memory.
+fn run_rereading_memory(
+    cpu: &mut Cpu,
+    budget: u64,
+    sink: &mut RecordingSink,
+) -> Result<RunOutcome, CpuError> {
+    for steps in 0..budget {
+        cpu.mem_mut();
+        if !cpu.step(sink)? {
+            return Ok(RunOutcome::Halted { steps });
+        }
+    }
+    Ok(RunOutcome::StepLimit { steps: budget })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Executing from the predecoded text table is indistinguishable from
+    /// reading and decoding memory at every fetch, also for programs that
+    /// store (legal or illegal words) into their own text. Each program
+    /// runs its body twice, so the second pass executes what the first
+    /// one stored.
+    #[test]
+    fn predecoded_run_matches_a_run_that_rereads_memory(
+        payload in prop::collection::vec(insts(), 4),
+        junk: u32,
+        body in prop::collection::vec(self_modifying_body(), 1..40),
+    ) {
+        let mut insts = vec![Inst::Lui { rd: reg(TEXT_PTR), imm: (TEXT_BASE >> 16) as u16 }];
+        for (i, inst) in payload.iter().enumerate() {
+            insts.extend(load_const(reg(6 + i as u8), inst.encode()));
+        }
+        insts.extend(load_const(reg(10), junk));
+        insts.push(Inst::AluImm { op: AluImmOp::Addi, rd: reg(LOOP_REG), rs1: Reg::ZERO, imm: 2 });
+        let top = insts.len();
+        insts.extend(body);
+        insts.push(Inst::AluImm { op: AluImmOp::Addi, rd: reg(LOOP_REG), rs1: reg(LOOP_REG), imm: -1 });
+        let back = (top as i16 - insts.len() as i16) * 4;
+        insts.push(Inst::Branch { cond: BranchCond::Ne, rs1: reg(LOOP_REG), rs2: Reg::ZERO, offset: back });
+        insts.push(Inst::Halt);
+        let prog = Program::from_insts(&insts);
+
+        let mut fast = Cpu::new(&prog);
+        let mut fast_sink = RecordingSink::default();
+        let fast_out = fast.run(2_000, &mut fast_sink);
+        let mut slow = Cpu::new(&prog);
+        let mut slow_sink = RecordingSink::default();
+        let slow_out = run_rereading_memory(&mut slow, 2_000, &mut slow_sink);
+
+        prop_assert_eq!(fast_out, slow_out);
+        prop_assert_eq!(&fast_sink.events, &slow_sink.events);
+        prop_assert_eq!((fast.pc(), fast.instret()), (slow.pc(), slow.instret()));
+        for i in 0..32 {
+            prop_assert_eq!(fast.reg(i), slow.reg(i), "register x{}", i);
+        }
+    }
 }
 
 proptest! {

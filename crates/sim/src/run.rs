@@ -34,7 +34,7 @@ use waymem_cache::{AccessStats, Geometry};
 use waymem_hwmodel::{
     cache_energies, mab_power_mw, CacheShape, EnergyCounts, PowerBreakdown, Technology,
 };
-use waymem_isa::{AsmError, Cpu, CpuError, FetchKind, RecordingSink, TraceEvent, TraceSink};
+use waymem_isa::{AsmError, Cpu, CpuError, FetchKind, TraceEvent, TraceSink};
 use waymem_trace::{
     fnv1a64, Section, StreamError, StreamStats, StreamingEncoder, StreamingTrace, TraceStore,
     WorkloadId,
@@ -335,6 +335,10 @@ impl From<StreamingTrace> for TraceSource {
     }
 }
 
+/// Events each of [`record_trace`]'s two streams reserves up front:
+/// 40 MB of `TraceEvent`s.
+const RECORD_RESERVE_EVENTS: usize = 1 << 21;
+
 /// The recording sink behind [`record_trace`]: like
 /// [`waymem_isa::RecordingSink`] but splitting the stream at capture time
 /// so replay never re-partitions it.
@@ -382,16 +386,16 @@ pub fn record_trace(bench: Benchmark, cfg: &SimConfig) -> Result<RecordedTrace, 
     let _phase = waymem_obs::phase::enter(Phase::Record);
     let _span = waymem_obs::span!("record", workload = bench.name());
     let wl = bench.workload(cfg.scale)?;
-    // Pre-size each stream with `RecordingSink`'s shared clamp. The
-    // estimates are one fetch per budgeted instruction (+1 for `halt`)
-    // and one load/store per four instructions (typical kernels issue
-    // one every 4–8); both are *estimates*, not bounds — the Vecs grow
-    // geometrically past them. The default 30 M-step budgets exceed the
-    // clamp anyway, so in practice both streams start at the cap and
-    // the estimates only matter for small custom budgets.
+    // Reserve far more than a kernel usually touches: unused capacity
+    // costs address space, not memory. A reservation above 32 MB (the
+    // largest block glibc's malloc ever serves from its arenas) is mapped
+    // straight from the OS, so growing it remaps instead of copying, and
+    // dropping the trace returns its memory at once; a smaller one can
+    // leave tens of MB resident in a worker thread's arena after a cold
+    // run drops its traces. `shrink_to_fit` hands the unused tail back.
     let mut sink = SplitRecordingSink {
-        fetches: Vec::with_capacity(RecordingSink::prealloc_cap(wl.max_steps.saturating_add(1))),
-        data: Vec::with_capacity(RecordingSink::prealloc_cap(wl.max_steps / 4)),
+        fetches: Vec::with_capacity(RECORD_RESERVE_EVENTS),
+        data: Vec::with_capacity(RECORD_RESERVE_EVENTS),
     };
     let mut cpu = Cpu::new(&wl.program);
     let outcome = cpu.run(wl.max_steps, &mut sink)?;
@@ -400,6 +404,8 @@ pub fn record_trace(bench: Benchmark, cfg: &SimConfig) -> Result<RecordedTrace, 
             max_steps: wl.max_steps,
         });
     }
+    sink.fetches.shrink_to_fit();
+    sink.data.shrink_to_fit();
     Ok(RecordedTrace {
         fetch_events: sink.fetches,
         data_events: sink.data,

@@ -51,8 +51,18 @@ impl Fnv {
                     }
                 }
             }
-            TraceEvent::Load { base, disp, addr, size } => self.access(1, base, disp, addr, size),
-            TraceEvent::Store { base, disp, addr, size } => self.access(2, base, disp, addr, size),
+            TraceEvent::Load {
+                base,
+                disp,
+                addr,
+                size,
+            } => self.access(1, base, disp, addr, size),
+            TraceEvent::Store {
+                base,
+                disp,
+                addr,
+                size,
+            } => self.access(2, base, disp, addr, size),
         }
     }
 
@@ -95,7 +105,10 @@ const GOLDEN: [(Benchmark, u32, u64, u64); 14] = [
 fn kernel_traces_match_their_golden_fingerprints() {
     let mut mismatches = Vec::new();
     for (bench, scale, want_hash, want_cycles) in GOLDEN {
-        let cfg = SimConfig { scale, ..SimConfig::default() };
+        let cfg = SimConfig {
+            scale,
+            ..SimConfig::default()
+        };
         let trace = waymem::sim::record_trace(bench, &cfg).expect("records");
         let got = (fingerprint(&trace), trace.cycles);
         if got != (want_hash, want_cycles) {
@@ -105,7 +118,11 @@ fn kernel_traces_match_their_golden_fingerprints() {
             ));
         }
     }
-    assert!(mismatches.is_empty(), "traces changed:\n{}", mismatches.join("\n"));
+    assert!(
+        mismatches.is_empty(),
+        "traces changed:\n{}",
+        mismatches.join("\n")
+    );
 }
 
 #[test]
