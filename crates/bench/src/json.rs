@@ -1,10 +1,10 @@
 //! A tiny hand-rolled JSON writer for the `BENCH_*.json` exports.
 //!
-//! The build environment is offline, so `serde_json` is unavailable (the
-//! vendored `serde` is a no-op derive stub). The export binaries only
-//! need to *emit* flat records — no parsing, no borrowing, no streaming —
-//! so a ~100-line value tree with a `Display` impl covers everything and
-//! keeps the machine-readable outputs dependency-free.
+//! The build environment is offline, so `serde_json` is unavailable. The
+//! export binaries only need to *emit* flat records — no parsing, no
+//! borrowing, no streaming — so a ~100-line value tree with a `Display`
+//! impl covers everything and keeps the machine-readable outputs
+//! dependency-free.
 
 use std::fmt;
 

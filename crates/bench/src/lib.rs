@@ -42,9 +42,7 @@
 //! env-wired [`store_from_env`], holds the tiny [`json`] writer behind
 //! the `BENCH_*.json` exports, the append-only run [`ledger`] those
 //! exports feed (`BENCH_LEDGER.jsonl`), and the perf-[`diff`] engine the
-//! `bench_diff` regression gate runs on, and keeps the deprecated
-//! `run_suite*` shims importable for downstream code that predates the
-//! builder.
+//! `bench_diff` regression gate runs on.
 
 use waymem_sim::TraceStore;
 
@@ -53,10 +51,6 @@ pub mod json;
 pub mod ledger;
 
 pub use waymem_sim::presets::{fig4_dschemes, fig6_ischemes, full_dschemes, full_ischemes};
-// The deprecated suite shims historically lived in this crate; they now
-// forward to `waymem_sim::Suite` but stay importable here.
-#[allow(deprecated)]
-pub use waymem_sim::{run_suite, run_suite_serial, run_suite_with_store};
 
 /// The per-process [`TraceStore`] the bench binaries share, wired from
 /// the environment ([`TraceStore::from_env`]): `WAYMEM_TRACE_CACHE=<dir>`

@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::lru::touch;
 use crate::Geometry;
 
 /// The kind of data-side access, used for replacement/dirty semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A read (load or instruction fetch).
     Load,
@@ -14,7 +12,7 @@ pub enum AccessKind {
 
 /// Description of a line evicted by a fill, needed by way-memoization
 /// structures to stay consistent with the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {
     /// Tag of the evicted line.
     pub tag: u32,
@@ -27,7 +25,7 @@ pub struct EvictedLine {
 }
 
 /// Result of filling a line after a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillOutcome {
     /// The way the new line was placed into.
     pub way: u32,
@@ -36,7 +34,7 @@ pub struct FillOutcome {
 }
 
 /// Result of a full cache access (probe + optional fill + LRU update).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Whether the line was already resident.
     pub hit: bool,
@@ -87,7 +85,7 @@ const DIRTY: u8 = 2;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SetAssocCache {
     geom: Geometry,
     ways: usize,

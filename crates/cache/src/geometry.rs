@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::GeometryError;
 
 /// Geometry of a set-associative cache: number of sets, associativity and
@@ -18,7 +16,7 @@ use crate::GeometryError;
 /// assert_eq!((g.offset_bits(), g.index_bits(), g.tag_bits()), (5, 9, 18));
 /// assert_eq!(g.index_of(0x0000_1234), (0x1234 >> 5) & 0x1ff);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     sets: u32,
     ways: u32,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Geometry, LruOrder};
 
 /// A small buffer of recently touched cache lines (line address + way),
@@ -26,7 +24,7 @@ use crate::{Geometry, LruOrder};
 /// assert_eq!(lb.lookup(0x1004), Some(1)); // same 32-B line
 /// assert_eq!(lb.lookup(0x1020), None);    // next line
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LineBuffer {
     geom: Geometry,
     entries: Vec<Option<(u32, u32)>>, // (line base, way)

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Tracks a true least-recently-used order over `n` slots (ways of a cache
 /// set, rows/columns of a MAB, entries of a set buffer).
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(lru.victim(), 1);
 /// assert_eq!(lru.mru(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LruOrder {
     /// Slot indices ordered most-recently-used first.
     order: Vec<u8>,

@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Geometry, LruOrder};
 
 /// Outcome of a [`SetBuffer`] probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetBufferLookup {
     /// The accessed set is buffered and the tag matched: the way is known
     /// without touching the tag arrays.
@@ -41,7 +39,7 @@ pub enum SetBufferLookup {
 /// sb.refill(g.index_of(addr), [Some(g.tag_of(addr)), None]);
 /// assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SetBuffer {
     geom: Geometry,
     ways: usize,

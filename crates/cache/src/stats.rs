@@ -1,7 +1,5 @@
 use std::ops::AddAssign;
 
-use serde::{Deserialize, Serialize};
-
 /// Energy-relevant access counters for one cache under one lookup scheme.
 ///
 /// These are the quantities the paper's Figures 4 and 6 plot (tag accesses
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.tags_per_access() - 2.0).abs() < 1e-12);
 /// assert!((s.ways_per_access() - 1.7).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Cache accesses observed by the front-end (fetch packets for the
     /// I-cache, loads + stores for the D-cache).

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use waymem_cache::Geometry;
 
 /// Classification of a displacement's sign-extended upper bits (everything
@@ -8,7 +7,7 @@ use waymem_cache::Geometry;
 /// displacements can be handled by the MAB's narrow datapath; anything else
 /// is a forced MAB miss (`Wide`), which the paper measures at < 1 % of
 /// D-cache accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DispClass {
     /// Upper bits all zero: `0 <= disp < 2^low_bits`.
     Zeros,
@@ -27,7 +26,7 @@ impl DispClass {
 }
 
 /// Result of the narrow (low-bits) addition performed by the MAB datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LowAdd {
     /// Carry out of the low `low_bits`-bit addition.
     pub carry: bool,
@@ -63,7 +62,7 @@ pub struct LowAdd {
 ///     Some(Geometry::frv().tag_of(0x0001_3ffc_u32.wrapping_add(8)))
 /// );
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmallAdder {
     geom: Geometry,
 }

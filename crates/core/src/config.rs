@@ -1,7 +1,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use waymem_cache::Geometry;
 
 /// The 2-bit flag stored with each MAB tag entry: the carry out of the
@@ -12,7 +11,7 @@ use waymem_cache::Geometry;
 /// Two (base, displacement) pairs address the same cache tag whenever their
 /// base upper bits, carries and sign classes all match — which is exactly
 /// the equality the MAB's comparators implement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cflag {
     /// Carry out of the low-bits adder.
     pub carry: bool,
@@ -84,7 +83,7 @@ impl Error for MabConfigError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MabConfig {
     geom: Geometry,
     tag_entries: usize,

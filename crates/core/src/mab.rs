@@ -1,10 +1,9 @@
-use serde::{Deserialize, Serialize};
 use waymem_cache::LruOrder;
 
 use crate::{Cflag, DispClass, MabConfig, SmallAdder};
 
 /// Outcome of a MAB probe for one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MabLookup {
     /// Both comparators matched and the pair is valid: the cache may skip
     /// every tag array and activate only `way`.
@@ -41,7 +40,7 @@ impl MabLookup {
 }
 
 /// What [`Mab::record`] did to the structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordOutcome {
     /// Row used for the pair (index into tag entries).
     pub row: usize,
@@ -54,7 +53,7 @@ pub struct RecordOutcome {
 }
 
 /// Running counters of MAB behaviour, independent of any cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MabStats {
     /// Probes with a narrow displacement.
     pub lookups: u64,
@@ -96,7 +95,7 @@ const PAIR_VALID: u64 = 1 << 32;
 /// The comparator results of one narrow probe: what [`Mab::lookup`] hands
 /// to the [`Mab::record`] call that follows a miss, so the record needs no
 /// second add or scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Probe {
     base: u32,
     disp: i32,
@@ -136,7 +135,7 @@ struct Probe {
 /// mab.invalidate_location(set_index, 0);
 /// assert!(!mab.lookup(0x8000, 4).is_hit());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mab {
     cfg: MabConfig,
     adder: SmallAdder,

@@ -9,13 +9,11 @@
 //! a first-order bitline/sense-amp model calibrated so the composed powers
 //! land in the range of Figures 5 and 7.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CacheShape, MabPower, Technology};
 
 /// Per-activation energies for one cache's arrays and its auxiliary
 /// buffers, in nanojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheEnergies {
     /// Energy of one data-way read/write activation (whole line width).
     pub way_nj: f64,
@@ -67,7 +65,7 @@ pub fn cache_energies(shape: CacheShape, tech: Technology) -> CacheEnergies {
 
 /// Activation counts over a run, paired with the cycle count that defines
 /// elapsed time at the technology's clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnergyCounts {
     /// Data-way activations (reads + store writes + fill writes).
     pub way_reads: u64,
@@ -83,7 +81,7 @@ pub struct EnergyCounts {
 
 /// Average power decomposition of one cache under one scheme, mW — the
 /// stacked bars of Figures 5 and 7.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PowerBreakdown {
     /// Data-way array power, mW.
     pub data_mw: f64,

@@ -1,12 +1,10 @@
 //! MAB power model, calibrated against the paper's Table 3 (NanoSim on the
 //! synthesized netlists, 0.13 µm / 1.3 V / 360 MHz, with clock gating).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{MabShape, Technology};
 
 /// Active and clock-gated ("sleep") power of a MAB.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MabPower {
     /// Power while the MAB is being probed every cycle, mW.
     pub active_mw: f64,

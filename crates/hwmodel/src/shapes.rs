@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 /// Structural description of a MAB for the hardware models, decoupled from
 /// `waymem-core`'s behavioural `MabConfig` so this crate stays dependency
 /// free (the simulator converts between the two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MabShape {
     /// Number of tag rows (`N_t`).
     pub tag_entries: u32,
@@ -61,7 +59,7 @@ impl MabShape {
 }
 
 /// Structural description of one cache for the energy/area models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheShape {
     /// Number of sets (SRAM rows).
     pub sets: u32,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Process / operating-point parameters.
 ///
 /// The paper's platform is a Fujitsu 0.13 µm CMOS process at 1.3 V with a
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// let t = Technology::frv_0130();
 /// assert_eq!(t.cycle_ns(), 2.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Technology {
     /// Drawn feature size in nanometres.
     pub feature_nm: u32,

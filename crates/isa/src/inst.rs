@@ -1,11 +1,9 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Reg;
 
 /// Register–register ALU operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum AluOp {
     Add,
@@ -71,7 +69,7 @@ impl AluOp {
 }
 
 /// Register–immediate ALU operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum AluImmOp {
     Addi,
@@ -113,7 +111,7 @@ impl AluImmOp {
 }
 
 /// Access width of a load or store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum MemWidth {
     Byte,
@@ -134,7 +132,7 @@ impl MemWidth {
 }
 
 /// Branch comparison condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum BranchCond {
     Eq,
@@ -196,7 +194,7 @@ impl BranchCond {
 /// assert_eq!(Inst::decode(word), Some(Inst::Halt));
 /// assert_eq!(Inst::decode(0), None);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// Register–register ALU operation: `rd = rs1 op rs2`.
     Alu {

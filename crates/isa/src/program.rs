@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Inst, MainMemory};
 
 /// Default base address of the text (code) segment.
@@ -26,7 +24,7 @@ pub const STACK_TOP: u32 = 0x000f_ff00;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     text_base: u32,
     text: Vec<u32>,

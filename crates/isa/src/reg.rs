@@ -1,8 +1,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// One of the 32 general-purpose registers of frv-lite.
 ///
 /// Register 0 is hard-wired to zero; register 1 is the link register (`ra`)
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!("x7".parse::<Reg>().unwrap().index(), 7);
 /// assert_eq!(Reg::new(10).unwrap().to_string(), "a0");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(u8);
 
 impl Reg {

@@ -1,8 +1,6 @@
-use serde::{Deserialize, Serialize};
-
 /// How control reached the instruction being fetched — the information the
 /// I-MAB's input multiplexer needs (paper Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchKind {
     /// Fall-through from the previous instruction.
     Sequential,
@@ -30,7 +28,7 @@ pub enum FetchKind {
 }
 
 /// One architectural event emitted by the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// An instruction fetch.
     Fetch {

@@ -15,10 +15,10 @@
 //! patterns so results stay bit-identical across the wire.
 //!
 //! The codec is hand-rolled over `std::io` for the same reason the
-//! bench JSON writer is: the build environment is offline and the
-//! vendored `serde` is a no-op derive stub. Decoding never panics —
-//! every malformed byte sequence becomes a [`ProtoError`] the server
-//! answers with a structured error reply.
+//! bench JSON writer is: the build environment is offline, with no
+//! serde. Decoding never panics — every malformed byte sequence
+//! becomes a [`ProtoError`] the server answers with a structured error
+//! reply.
 
 use std::fmt;
 use std::io::{self, Read, Write};

@@ -1,16 +1,15 @@
 //! The composable experiment builder — one entry point for every
 //! workload × scheme × store run.
 //!
-//! The driver layer used to expose one free function per combination of
-//! workload source (kernel / recorded trace / external log) and storage
-//! (plain / store-backed) — nine overlapping `run_*` variants with
-//! copy-pasted positional plumbing. [`Experiment`] replaces them with a
-//! typed builder over the one underlying pipeline:
+//! [`Experiment`] is a typed builder over the one underlying pipeline:
 //!
-//! 1. **resolve** the workload to a [`WorkloadId`] plus a
-//!    [`RecordedTrace`] — interpreting a kernel, parsing a log,
-//!    running a synthetic generator, or taking a trace as given;
-//! 2. **record-or-load** through an optional [`TraceStore`], so the
+//! 1. **resolve** the workload once to its [`WorkloadId`] and source
+//!    hash, plus the producer that can make its events — the kernel
+//!    interpreter, a log parser or a synthetic generator — or a trace
+//!    taken as given;
+//! 2. **record-or-load** through an optional [`TraceStore`] into one of
+//!    two terminals: an in-memory [`RecordedTrace`], or (with
+//!    [`streaming`](Experiment::streaming)) an on-disk `.wmtr` file. The
 //!    expensive production step happens at most once per store lifetime
 //!    (zero times, with a warm persistent cache);
 //! 3. **replay** the trace across every requested scheme front-end under
@@ -42,17 +41,16 @@ use std::sync::Arc;
 
 use waymem_cache::Geometry;
 use waymem_hwmodel::Technology;
-use waymem_ingest::{hash_file, parse, parse_to_wmtr, synth, LogFormat};
+use waymem_ingest::{hash_file, synth, LogFormat};
 use waymem_isa::RecordedTrace;
 use waymem_trace::{
-    stream, StoreStats, StreamError, StreamingEncoder, StreamingTrace, SynthSpec, TraceStore,
-    WorkloadId,
+    spill_scratch, stream, StoreIo, StoreStats, StreamError, SynthSpec, TraceStore, WorkloadId,
 };
 use waymem_workloads::Benchmark;
 
 use crate::run::{
-    kernel_source_hash, record_trace, record_trace_streaming, replay_source_with_policy,
-    run_kernel_fanout, RunError, SimConfig, SimResult, TraceSource,
+    kernel_source_hash, replay, run_kernel_fanout, Producer, RunError, SimConfig, SimResult,
+    TraceSource,
 };
 use crate::{DScheme, IScheme};
 
@@ -76,6 +74,24 @@ pub enum ExecPolicy {
     /// feeding the front-ends per event straight from the interpreter —
     /// the engine the parallel replay is cross-validated against.
     Serial,
+}
+
+impl ExecPolicy {
+    /// Whether to fan `jobs` independent jobs (front-ends, or a suite's
+    /// workloads) out over scoped worker threads: always under
+    /// `Parallel`, never under `Serial`, and under `Auto` only when there
+    /// is more than one job and more than one hardware thread to run
+    /// them on — on a single-core host the workers would only
+    /// interleave.
+    pub(crate) fn parallel(self, jobs: usize) -> bool {
+        match self {
+            ExecPolicy::Auto => {
+                jobs > 1 && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+            }
+            ExecPolicy::Parallel => true,
+            ExecPolicy::Serial => false,
+        }
+    }
 }
 
 /// What an [`Experiment`] runs: the workload half of the builder.
@@ -334,14 +350,7 @@ impl<'s> Experiment<'s> {
         if let (WorkloadSpec::Kernel(bench), StoreSel::None, false) =
             (&self.workload, &self.store, self.streaming)
         {
-            let serial = match self.policy {
-                ExecPolicy::Serial => true,
-                ExecPolicy::Auto => {
-                    !crate::run::replay_in_parallel(self.dschemes.len() + self.ischemes.len())
-                }
-                ExecPolicy::Parallel => false,
-            };
-            if serial {
+            if !self.policy.parallel(self.dschemes.len() + self.ischemes.len()) {
                 return run_kernel_fanout(*bench, &self.cfg, &self.dschemes, &self.ischemes);
             }
         }
@@ -361,101 +370,73 @@ impl<'s> Experiment<'s> {
         let _span = waymem_obs::span!("resolve", workload = describe_workload(&self.workload));
         let Experiment { workload, cfg, dschemes, ischemes, store, policy, streaming } = self;
         let store = store.get();
-        let mut ingest_meta = None;
-        if streaming {
-            let (id, source_hash, source) =
-                resolve_streaming(workload, &cfg, store, &mut ingest_meta)?;
-            return Ok(Prepared {
-                id,
-                source_hash,
-                source,
-                cfg,
-                dschemes,
-                ischemes,
-                policy,
-                ingest_meta,
-            });
-        }
-        let (id, source_hash, trace) = match workload {
-            WorkloadSpec::Kernel(bench) => {
-                resolve_kernel(bench, cfg.scale, &cfg, store)?
-            }
-            WorkloadSpec::Id(WorkloadId::Kernel { benchmark, scale }) => {
-                resolve_kernel(benchmark, scale, &cfg, store)?
-            }
-            WorkloadSpec::Id(WorkloadId::Synthetic(spec))
-            | WorkloadSpec::Synthetic(spec) => {
-                let id = WorkloadId::Synthetic(spec);
-                let hash = synth::source_hash(spec);
-                let trace = match store {
-                    Some(s) => s
-                        .get_or_record(id, hash, || {
-                            Ok::<_, std::convert::Infallible>(generate_synth(spec))
-                        })
-                        .unwrap_or_else(|e| match e {}),
-                    None => Arc::new(generate_synth(spec)),
-                };
-                (id, hash, trace)
-            }
+        let kernel = |bench: Benchmark, scale: u32| {
+            let producer = Producer::Kernel { bench, scale };
+            let hash = kernel_source_hash(bench, scale);
+            (WorkloadId::kernel(bench, scale), hash, Origin::Produce(Some(producer)))
+        };
+        // Settle the workload's identity and staleness fingerprint once.
+        let (id, source_hash, origin) = match workload {
+            WorkloadSpec::Kernel(bench) => kernel(bench, cfg.scale),
+            WorkloadSpec::Id(WorkloadId::Kernel { benchmark, scale }) => kernel(benchmark, scale),
+            WorkloadSpec::Id(WorkloadId::Synthetic(spec)) | WorkloadSpec::Synthetic(spec) => (
+                WorkloadId::Synthetic(spec),
+                synth::source_hash(spec),
+                Origin::Produce(Some(Producer::Synthetic(spec))),
+            ),
             WorkloadSpec::Id(id @ WorkloadId::External { hash }) => {
-                // Only a store (e.g. a warm persistent cache dir) can
-                // resolve a bare external id — there is nothing to
-                // re-produce it from.
-                let trace = match store {
-                    Some(s) => {
-                        s.get_or_record(id, hash, || Err(RunError::MissingTrace { id }))?
-                    }
-                    None => return Err(RunError::MissingTrace { id }),
-                };
-                (id, hash, trace)
+                (id, hash, Origin::Produce(None))
             }
-            WorkloadSpec::Recorded { id, trace } => (id, 0, trace),
-            WorkloadSpec::Log { path, format } => match store {
-                // With a store, hash the raw bytes up front: a warm
-                // `.wmtr` hit then skips the parse (and the event
-                // materialization) entirely — for a multi-GB capture
-                // the parse *is* the cost.
-                Some(s) => {
-                    let hash = hash_file(&path).map_err(|e| RunError::Ingest {
-                        path: path.clone(),
-                        message: format!("cannot read: {e}"),
-                    })?;
-                    let id = WorkloadId::External { hash };
-                    let trace = s.get_or_record(id, hash, || {
-                        let (trace, parsed_hash, meta) = parse_log(&path, format)?;
-                        // The parser folds the identical byte stream into
-                        // FNV-1a64; divergence means the file changed
-                        // between the hash and the parse (or a parser
-                        // regression) — either way the cache key would
-                        // lie about the trace it maps to.
-                        if parsed_hash != hash {
-                            return Err(RunError::Ingest {
-                                path: path.clone(),
-                                message: format!(
-                                    "file changed while being ingested \
-                                     (hashed {hash:016x}, parsed {parsed_hash:016x})"
-                                ),
-                            });
-                        }
-                        ingest_meta = Some(meta);
+            WorkloadSpec::Recorded { id, trace } => (id, 0, Origin::Given(trace)),
+            WorkloadSpec::Log { path, format } => {
+                // The raw bytes' hash is the log's identity; taking it
+                // before the parse lets a warm store hit skip the parse
+                // (and, for a multi-GB capture, the parse *is* the cost).
+                let hash = hash_file(&path).map_err(|e| RunError::Ingest {
+                    path: path.clone(),
+                    message: format!("cannot read: {e}"),
+                })?;
+                let producer = Producer::Log { path, format, hash };
+                (WorkloadId::External { hash }, hash, Origin::Produce(Some(producer)))
+            }
+        };
+        let mut ingest_meta = None;
+        let source = match origin {
+            Origin::Given(trace) if streaming => {
+                let spill = |path: &Path| {
+                    stream::write_encoded(&trace, 0, path).map(drop).map_err(StreamError::from)
+                };
+                TraceSource::from(spill_scratch(id, &StoreIo::passthrough(), spill)?)
+            }
+            Origin::Given(trace) => TraceSource::Materialized(trace),
+            Origin::Produce(producer) => {
+                let producer = producer.as_ref().ok_or(RunError::MissingTrace { id });
+                if streaming {
+                    let encode = |path: &Path| -> Result<(), RunError> {
+                        ingest_meta = producer.clone()?.encode(path, source_hash)?;
+                        Ok(())
+                    };
+                    TraceSource::from(match store {
+                        Some(s) => s.open_stream(id, source_hash, encode)?,
+                        None => spill_scratch(id, &StoreIo::passthrough(), encode)?,
+                    })
+                } else {
+                    let mut record = || -> Result<RecordedTrace, RunError> {
+                        let (trace, meta) = producer.clone()?.record()?;
+                        ingest_meta = meta;
                         Ok(trace)
-                    })?;
-                    (id, hash, trace)
+                    };
+                    TraceSource::Materialized(match store {
+                        Some(s) => s.get_or_record(id, source_hash, record)?,
+                        None => Arc::new(record()?),
+                    })
                 }
-                // Store-less, the up-front hash would only double the
-                // file I/O: parse once and take the identity from the
-                // hash the parser streams.
-                None => {
-                    let (trace, hash, meta) = parse_log(&path, format)?;
-                    ingest_meta = Some(meta);
-                    (WorkloadId::External { hash }, hash, Arc::new(trace))
-                }
-            },
+            }
         };
         Ok(Prepared {
             id,
             source_hash,
-            source: TraceSource::Materialized(trace),
+            source,
             cfg,
             dschemes,
             ischemes,
@@ -465,219 +446,17 @@ impl<'s> Experiment<'s> {
     }
 }
 
-/// Resolves a workload to an on-disk `.wmtr` streaming handle — the
-/// [`Experiment::streaming`] counterpart of the materializing match in
-/// [`Experiment::prepare`]. Store-backed resolutions go through
-/// [`TraceStore::open_stream`] (warm cache files open in place, cold
-/// ones are produced straight to disk); store-less ones produce to a
-/// scratch temp file removed when the handle drops.
-fn resolve_streaming(
-    workload: WorkloadSpec,
-    cfg: &SimConfig,
-    store: Option<&TraceStore>,
-    ingest_meta: &mut Option<IngestMeta>,
-) -> Result<(WorkloadId, u64, TraceSource), RunError> {
-    match workload {
-        WorkloadSpec::Kernel(bench) => resolve_kernel_streaming(bench, cfg.scale, cfg, store),
-        WorkloadSpec::Id(WorkloadId::Kernel { benchmark, scale }) => {
-            resolve_kernel_streaming(benchmark, scale, cfg, store)
-        }
-        WorkloadSpec::Id(WorkloadId::Synthetic(spec)) | WorkloadSpec::Synthetic(spec) => {
-            let id = WorkloadId::Synthetic(spec);
-            let hash = synth::source_hash(spec);
-            let st = open_stream_via(store, id, hash, |path| {
-                let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Record);
-                let _span = waymem_obs::span!("record", workload = id.name());
-                let enc = StreamingEncoder::create(path).map_err(StreamError::from)?;
-                let (stats, enc) = synth::generate_into(spec, enc);
-                enc.finish(stats.cycles, hash)?;
-                Ok(())
-            })?;
-            Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
-        }
-        WorkloadSpec::Id(id @ WorkloadId::External { hash }) => match store {
-            Some(s) => {
-                let st =
-                    s.open_stream(id, hash, |_: &Path| Err(RunError::MissingTrace { id }))?;
-                Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
-            }
-            None => Err(RunError::MissingTrace { id }),
-        },
-        WorkloadSpec::Recorded { id, trace } => {
-            // Taken as given, like the materialized path: the store is
-            // bypassed; the trace is spilled to scratch and replayed
-            // from disk (the caller asked for bounded replay memory,
-            // though the in-memory copy they handed over still exists).
-            let st = open_scratch_stream(id, |path| {
-                stream::write_encoded(&trace, 0, path).map_err(StreamError::from)?;
-                Ok(())
-            })?;
-            Ok((id, 0, TraceSource::Streaming(Arc::new(st))))
-        }
-        WorkloadSpec::Log { path, format } => {
-            // Hash the raw bytes up front in every case: the hash is the
-            // workload's identity, and a warm store hit then skips the
-            // parse entirely.
-            let hash = hash_file(&path).map_err(|e| RunError::Ingest {
-                path: path.clone(),
-                message: format!("cannot read: {e}"),
-            })?;
-            let id = WorkloadId::External { hash };
-            let st = open_stream_via(store, id, hash, |out| {
-                produce_log_streaming(&path, format, hash, out, ingest_meta)
-            })?;
-            Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
-        }
-    }
-}
-
-/// Streaming kernel resolution: the CPU interpreter's event stream goes
-/// straight to the `.wmtr` file via [`record_trace_streaming`].
-fn resolve_kernel_streaming(
-    bench: Benchmark,
-    scale: u32,
-    cfg: &SimConfig,
-    store: Option<&TraceStore>,
-) -> Result<(WorkloadId, u64, TraceSource), RunError> {
-    let id = WorkloadId::kernel(bench, scale);
-    let hash = kernel_source_hash(bench, scale);
-    let record_cfg = SimConfig { scale, ..*cfg };
-    let st = open_stream_via(store, id, hash, |path| {
-        record_trace_streaming(bench, &record_cfg, path).map(|_| ())
-    })?;
-    Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
-}
-
-/// Opens a streaming handle through the store when one is attached, or
-/// through a self-cleaning scratch file otherwise.
-fn open_stream_via(
-    store: Option<&TraceStore>,
-    id: WorkloadId,
-    hash: u64,
-    produce: impl FnOnce(&Path) -> Result<(), RunError>,
-) -> Result<StreamingTrace, RunError> {
-    match store {
-        Some(s) => s.open_stream(id, hash, produce),
-        None => open_scratch_stream(id, produce),
-    }
-}
-
-/// Produces a `.wmtr` file into a per-process scratch path and opens it
-/// marked for deletion when the handle drops — the store-less streaming
-/// path, where nothing outlives the experiment.
-fn open_scratch_stream(
-    id: WorkloadId,
-    produce: impl FnOnce(&Path) -> Result<(), RunError>,
-) -> Result<StreamingTrace, RunError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let path = std::env::temp_dir().join(format!(
-        "waymem-exp-{}-{}-{}",
-        std::process::id(),
-        n,
-        id.file_name()
-    ));
-    produce(&path)?;
-    match StreamingTrace::open(&path) {
-        Ok(st) => Ok(st.delete_on_drop()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&path);
-            Err(e.into())
-        }
-    }
-}
-
-/// Parses a log straight into a `.wmtr` file at `out`, mapping every
-/// failure to a structured [`RunError::Ingest`] and capturing the
-/// ingestion metadata — the streaming counterpart of [`parse_log`].
-fn produce_log_streaming(
-    path: &Path,
-    format: Option<LogFormat>,
-    expected_hash: u64,
-    out: &Path,
-    ingest_meta: &mut Option<IngestMeta>,
-) -> Result<(), RunError> {
-    let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Record);
-    let _span = waymem_obs::span!("record", source = path.display());
-    let format = format.unwrap_or_else(|| LogFormat::for_path(path));
-    let ingest_err = |message: String| RunError::Ingest { path: path.to_path_buf(), message };
-    let file = std::fs::File::open(path).map_err(|e| ingest_err(format!("cannot open: {e}")))?;
-    let stats = parse_to_wmtr(format, std::io::BufReader::new(file), out)
-        .map_err(|e| ingest_err(e.to_string()))?;
-    if stats.events() == 0 {
-        return Err(ingest_err("log contains no accesses".to_owned()));
-    }
-    // The parser folds the identical byte stream into FNV-1a64;
-    // divergence means the file changed between the hash and the parse
-    // (or a parser regression) — either way the cache key would lie
-    // about the trace it maps to.
-    if stats.source_hash != expected_hash {
-        return Err(ingest_err(format!(
-            "file changed while being ingested \
-             (hashed {expected_hash:016x}, parsed {:016x})",
-            stats.source_hash
-        )));
-    }
-    *ingest_meta = Some(IngestMeta {
-        format,
-        lines: stats.lines,
-        skipped: stats.skipped,
-    });
-    Ok(())
-}
-
-/// Generates a synthetic trace under the Record phase, so synthetic
-/// production shows up in the phase breakdown and span stream exactly
-/// like a kernel interpretation or a log parse.
-fn generate_synth(spec: SynthSpec) -> RecordedTrace {
-    let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Record);
-    let _span = waymem_obs::span!("record", workload = WorkloadId::Synthetic(spec).name());
-    synth::generate(spec)
-}
-
-/// Resolves a kernel workload at an explicit scale: record through the
-/// store when one is present (verified against [`kernel_source_hash`]),
-/// interpret directly otherwise.
-fn resolve_kernel(
-    bench: Benchmark,
-    scale: u32,
-    cfg: &SimConfig,
-    store: Option<&TraceStore>,
-) -> Result<(WorkloadId, u64, Arc<RecordedTrace>), RunError> {
-    let id = WorkloadId::kernel(bench, scale);
-    let hash = kernel_source_hash(bench, scale);
-    let record_cfg = SimConfig { scale, ..*cfg };
-    let trace = match store {
-        Some(s) => s.get_or_record(id, hash, || record_trace(bench, &record_cfg))?,
-        None => Arc::new(record_trace(bench, &record_cfg)?),
-    };
-    Ok((id, hash, trace))
-}
-
-/// Parses a log file into a trace plus its streamed content hash and
-/// ingestion metadata, mapping every failure — unreadable file,
-/// malformed line, empty capture — to a structured [`RunError::Ingest`].
-fn parse_log(
-    path: &Path,
-    format: Option<LogFormat>,
-) -> Result<(RecordedTrace, u64, IngestMeta), RunError> {
-    let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Record);
-    let _span = waymem_obs::span!("record", source = path.display());
-    let format = format.unwrap_or_else(|| LogFormat::for_path(path));
-    let ingest_err = |message: String| RunError::Ingest { path: path.to_path_buf(), message };
-    let file = std::fs::File::open(path).map_err(|e| ingest_err(format!("cannot open: {e}")))?;
-    let ingested = parse(format, std::io::BufReader::new(file))
-        .map_err(|e| ingest_err(e.to_string()))?;
-    if ingested.trace.is_empty() {
-        return Err(ingest_err("log contains no accesses".to_owned()));
-    }
-    let meta = IngestMeta {
-        format,
-        lines: ingested.lines,
-        skipped: ingested.skipped,
-    };
-    Ok((ingested.trace, ingested.source_hash, meta))
+/// Where a resolved workload's events come from.
+enum Origin {
+    /// The workload's producer, run on a store miss; `None` when nothing
+    /// can re-produce the trace (a bare external id), so only a store
+    /// already holding it resolves it.
+    Produce(Option<Producer>),
+    /// A trace taken as given ([`WorkloadSpec::Recorded`]): the store is
+    /// bypassed rather than trusted over it, and a streaming run spills
+    /// it to scratch (the caller asked for bounded replay memory, though
+    /// the in-memory copy they handed over still exists).
+    Given(Arc<RecordedTrace>),
 }
 
 /// What a log ingestion observed, when this experiment actually parsed
@@ -754,7 +533,7 @@ impl Prepared {
     /// worker panics; materialized replay is otherwise infallible.
     pub fn run(self) -> Result<SimResult, RunError> {
         catch_worker(|| {
-            replay_source_with_policy(
+            replay(
                 self.id,
                 &self.source,
                 &self.cfg,
@@ -957,16 +736,10 @@ impl<'s> Suite<'s> {
             };
             catch_worker(|| exp.run())
         };
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let parallel = match policy {
-            ExecPolicy::Serial => false,
-            ExecPolicy::Parallel => true,
-            // On a single-core host the workers would only interleave;
-            // run the workloads inline instead (results are identical
-            // either way).
-            ExecPolicy::Auto => workers > 1,
-        };
-        let outcomes: Vec<Result<SimResult, RunError>> = if parallel && workloads.len() > 1 {
+        let outcomes: Vec<Result<SimResult, RunError>> = if workloads.len() > 1
+            && policy.parallel(workloads.len())
+        {
+            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
             let chunk = workloads.len().div_ceil(workers).max(1);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = workloads

@@ -402,7 +402,7 @@ impl DFront {
     /// consumed in program order, fetch events are skipped. The loop is
     /// monomorphic for this front-end, so a replay pays no per-event
     /// virtual dispatch — this is the hot path of the record-once /
-    /// replay-in-parallel engine in [`crate::run_benchmark`].
+    /// replay-in-parallel engine behind [`crate::Experiment`].
     pub fn replay(&mut self, events: &[TraceEvent]) {
         for &e in events {
             match e {

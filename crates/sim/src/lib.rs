@@ -27,8 +27,7 @@
 //! store run — a built-in kernel, an ingested external log, a synthetic
 //! pattern, or a pre-recorded trace, with an optional shared
 //! [`TraceStore`] and an [`ExecPolicy`]; [`Suite`] fans a list of
-//! workloads out with shared settings. The nine legacy `run_*` free
-//! functions are `#[deprecated]` shims over the same pipeline.
+//! workloads out with shared settings.
 //!
 //! ```
 //! use waymem_sim::{Experiment, DScheme, IScheme};
@@ -90,16 +89,8 @@ pub use frontends::{DFront, DScheme, IFront, IScheme};
 pub use presets::{fig4_dschemes, fig6_ischemes, full_dschemes, full_ischemes};
 pub use report::{format_power_table, format_ratio_table, FigureRow};
 pub use run::{
-    kernel_source_hash, record_trace, record_trace_streaming, RecordedTrace, RunError,
-    SchemeResult, SimConfig, SimResult, TraceSource,
-};
-// The deprecated free-function shims stay importable under their old
-// names so downstream code keeps compiling (with a deprecation nudge
-// toward the builder).
-#[allow(deprecated)]
-pub use run::{
-    replay_trace, run_benchmark, run_benchmark_with_store, run_suite, run_suite_serial,
-    run_suite_with_store, run_trace, run_trace_with_store,
+    kernel_source_hash, record_trace, RecordedTrace, RunError, SchemeResult, SimConfig,
+    SimResult, TraceSource,
 };
 // The store an `Experiment` threads through its pipeline and the
 // workload-identity types it speaks, re-exported so driver-level

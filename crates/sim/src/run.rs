@@ -1,26 +1,28 @@
-//! The experiment engine: a record-once / replay-in-parallel pipeline.
+//! The experiment engine: produce a workload's events once, then replay
+//! them through every requested scheme.
 //!
-//! The engine executes the CPU interpreter (or a parser / generator)
-//! exactly once, capturing the full fetch/load/store stream into a
-//! [`RecordedTrace`] — two flat `Vec<TraceEvent>` streams split at
-//! capture time, fetches apart from loads/stores — then replays that
-//! recorded trace through every requested scheme's front-end, under an
-//! [`ExecPolicy`]: concurrently on
+//! A workload's events come from one producer — the CPU interpreter, a
+//! synthetic generator or a log parser — generic over the [`TraceSink`]
+//! it feeds, so the same producer fills either [`TraceSource`]: an
+//! in-memory [`RecordedTrace`] (two flat `Vec<TraceEvent>` streams,
+//! fetches split from loads/stores at capture time) or an on-disk
+//! `.wmtr` file replayed in bounded batches. One replay function then
+//! feeds each section ([`TraceSource::feed`]) through a fresh front-end
+//! per scheme under an [`ExecPolicy`]: concurrently on
 //! [`std::thread::scope`] workers, or inline on the calling thread. Each
-//! front-end consumes its stream as a slice through the batched
+//! front-end consumes its section through the batched
 //! [`TraceSink::events`] entry point, which dispatches to a monomorphic
 //! loop ([`DFront::replay`] / [`IFront::replay`]), so no per-event
 //! virtual dispatch survives on the hot path; power is composed via
 //! Eq. (1) once every worker joins. Every front-end sees the identical
-//! recorded stream, so all policies are bit-identical — including the
-//! per-event serial fanout that serial kernel runs use to skip the trace
-//! materialization entirely.
+//! event stream, so every source and policy is bit-identical — including
+//! the per-event serial fanout that store-less serial kernel runs use to
+//! skip the trace entirely.
 //!
 //! The composable front door to all of this is
-//! [`Experiment`](crate::Experiment) / [`Suite`]
-//! (`experiment` module); this module keeps the engine itself — the
-//! result types, [`record_trace`], and the deprecated free-function
-//! shims the builder replaced.
+//! [`Experiment`](crate::Experiment) / [`Suite`](crate::Suite)
+//! (`experiment` module); this module keeps the engine itself: the
+//! result types, the producers, [`record_trace`] and replay.
 
 use std::error::Error;
 use std::fmt;
@@ -28,20 +30,22 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use waymem_obs::phase::Phase;
+use waymem_obs::phase::{Phase, PhaseGuard};
+use waymem_obs::span::SpanGuard;
 
 use waymem_cache::{AccessStats, Geometry};
 use waymem_hwmodel::{
-    cache_energies, mab_power_mw, CacheShape, EnergyCounts, PowerBreakdown, Technology,
+    cache_energies, mab_power_mw, CacheShape, EnergyCounts, MabShape, PowerBreakdown,
+    Technology,
 };
+use waymem_ingest::{parse_into, synth, LogFormat};
 use waymem_isa::{AsmError, Cpu, CpuError, FetchKind, TraceEvent, TraceSink};
 use waymem_trace::{
-    fnv1a64, Section, StreamError, StreamStats, StreamingEncoder, StreamingTrace, TraceStore,
-    WorkloadId,
+    fnv1a64, Section, StreamError, StreamingEncoder, StreamingTrace, SynthSpec, WorkloadId,
 };
 use waymem_workloads::Benchmark;
 
-use crate::{DFront, DScheme, ExecPolicy, IFront, IScheme, Suite, SuiteResult};
+use crate::{DFront, DScheme, ExecPolicy, IFront, IScheme, IngestMeta};
 
 /// Simulation configuration shared by all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -220,10 +224,8 @@ impl SimResult {
     }
 }
 
-/// Legacy serial fanout: forwards each CPU event to every front-end as it
-/// happens. Kept (behind [`run_kernel_fanout`], the serial-policy kernel
-/// path) as the reference the record/replay engine is benchmarked and
-/// cross-validated against.
+/// The store-less serial kernel engine's sink: forwards each CPU event to
+/// every front-end as it happens (see [`run_kernel_fanout`]).
 struct FanoutSink {
     dfronts: Vec<DFront>,
     ifronts: Vec<IFront>,
@@ -309,6 +311,37 @@ impl TraceSource {
             TraceSource::Streaming(t) => Some(t),
         }
     }
+
+    /// Feeds one section into `sink` — fetches for I-fronts, loads and
+    /// stores for D-fronts — and returns how many events it delivered. A
+    /// materialized source hands its slice over in one
+    /// [`TraceSink::events`] call; a streaming one decodes the section
+    /// through its own file cursor in bounded batches
+    /// ([`StreamingTrace::replay_section`]), so concurrent feeds need no
+    /// coordination.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError`] when a streaming source's file fails to read or
+    /// decode mid-section (events delivered before the error stand); a
+    /// materialized source never fails.
+    pub fn feed<S: TraceSink + ?Sized>(
+        &self,
+        section: Section,
+        sink: &mut S,
+    ) -> Result<u64, StreamError> {
+        match self {
+            TraceSource::Materialized(t) => {
+                let events = match section {
+                    Section::Fetch => t.fetch_events.as_slice(),
+                    Section::Data => t.data_events.as_slice(),
+                };
+                sink.events(events);
+                Ok(events.len() as u64)
+            }
+            TraceSource::Streaming(t) => t.replay_section(section, sink),
+        }
+    }
 }
 
 impl From<Arc<RecordedTrace>> for TraceSource {
@@ -335,11 +368,11 @@ impl From<StreamingTrace> for TraceSource {
     }
 }
 
-/// Events each of [`record_trace`]'s two streams reserves up front:
+/// Events each of an interpreted trace's two streams reserves up front:
 /// 40 MB of `TraceEvent`s.
 const RECORD_RESERVE_EVENTS: usize = 1 << 21;
 
-/// The recording sink behind [`record_trace`]: like
+/// The sink a trace is recorded into: like
 /// [`waymem_isa::RecordingSink`] but splitting the stream at capture time
 /// so replay never re-partitions it.
 #[derive(Debug, Default)]
@@ -372,136 +405,206 @@ impl TraceSink for SplitRecordingSink {
     }
 }
 
+/// What produces a workload's events when no store holds them: the
+/// frv-lite interpreter, a synthetic generator or a log parser. Each
+/// feeds any [`TraceSink`], so one producer fills both terminals: an
+/// in-memory trace ([`record`](Self::record)) or a `.wmtr` file
+/// ([`encode`](Self::encode)).
+#[derive(Debug)]
+pub(crate) enum Producer {
+    /// A built-in kernel at an explicit scale.
+    Kernel { bench: Benchmark, scale: u32 },
+    /// A deterministic synthetic access pattern.
+    Synthetic(SynthSpec),
+    /// An external log whose raw bytes hashed to `hash` before the parse.
+    Log {
+        path: PathBuf,
+        format: Option<LogFormat>,
+        hash: u64,
+    },
+}
+
+impl Producer {
+    /// Enters the Record phase and the `record` span a production runs
+    /// under, so every producer shows up in the phase breakdown and the
+    /// span stream alike.
+    fn enter(&self) -> (SpanGuard, PhaseGuard) {
+        let phase = waymem_obs::phase::enter(Phase::Record);
+        let span = match self {
+            Producer::Kernel { bench, .. } => waymem_obs::span!("record", workload = bench.name()),
+            Producer::Synthetic(spec) => {
+                waymem_obs::span!("record", workload = WorkloadId::Synthetic(*spec).name())
+            }
+            Producer::Log { path, .. } => waymem_obs::span!("record", source = path.display()),
+        };
+        (span, phase)
+    }
+
+    /// Runs the producer into `sink`; returns the trace's cycle count and,
+    /// for a log, what the parse observed. Every way a log can fail —
+    /// unreadable, malformed, empty, changed since it was hashed — is a
+    /// structured [`RunError::Ingest`].
+    fn produce<S: TraceSink>(&self, sink: &mut S) -> Result<(u64, Option<IngestMeta>), RunError> {
+        match self {
+            Producer::Kernel { bench, scale } => Ok((interpret(*bench, *scale, sink)?, None)),
+            Producer::Synthetic(spec) => Ok((synth::generate_into(*spec, sink).0.cycles, None)),
+            Producer::Log { path, format, hash } => {
+                let format = format.unwrap_or_else(|| LogFormat::for_path(path));
+                let ingest_err = |message: String| RunError::Ingest { path: path.clone(), message };
+                let file = std::fs::File::open(path)
+                    .map_err(|e| ingest_err(format!("cannot open: {e}")))?;
+                let (stats, _) = parse_into(format, std::io::BufReader::new(file), sink)
+                    .map_err(|e| ingest_err(e.to_string()))?;
+                if stats.events() == 0 {
+                    return Err(ingest_err("log contains no accesses".to_owned()));
+                }
+                // The parser folds the identical byte stream into
+                // FNV-1a64; divergence means the file changed between the
+                // hash and the parse (or a parser regression) — either way
+                // the cache key would lie about the trace it maps to.
+                if stats.source_hash != *hash {
+                    return Err(ingest_err(format!(
+                        "file changed while being ingested \
+                         (hashed {hash:016x}, parsed {:016x})",
+                        stats.source_hash
+                    )));
+                }
+                let meta = IngestMeta { format, lines: stats.lines, skipped: stats.skipped };
+                Ok((stats.cycles, Some(meta)))
+            }
+        }
+    }
+
+    /// Produces the trace into memory.
+    pub(crate) fn record(&self) -> Result<(RecordedTrace, Option<IngestMeta>), RunError> {
+        let _guards = self.enter();
+        // Only the interpreter reserves up front; generated and parsed
+        // traces grow as they fill. The reservation is far more than a
+        // kernel usually touches: unused capacity costs address space, not
+        // memory. A reservation above 32 MB (the largest block glibc's
+        // malloc ever serves from its arenas) is mapped straight from the
+        // OS, so growing it remaps instead of copying, and dropping the
+        // trace returns its memory at once; a smaller one can leave tens
+        // of MB resident in a worker thread's arena after a cold run drops
+        // its traces. `shrink_to_fit` hands the unused tail back.
+        let reserve = match self {
+            Producer::Kernel { .. } => RECORD_RESERVE_EVENTS,
+            Producer::Synthetic(_) | Producer::Log { .. } => 0,
+        };
+        let mut sink = SplitRecordingSink {
+            fetches: Vec::with_capacity(reserve),
+            data: Vec::with_capacity(reserve),
+        };
+        let (cycles, meta) = self.produce(&mut sink)?;
+        if reserve > 0 {
+            sink.fetches.shrink_to_fit();
+            sink.data.shrink_to_fit();
+        }
+        let trace = RecordedTrace {
+            fetch_events: sink.fetches,
+            data_events: sink.data,
+            cycles,
+        };
+        Ok((trace, meta))
+    }
+
+    /// Produces the trace straight into a `.wmtr` file at `path` whose
+    /// header carries `source_hash`: the event vector never exists, so a
+    /// trace of any length costs O(batch) resident memory. Nothing is
+    /// written when the producer fails.
+    pub(crate) fn encode(
+        &self,
+        path: &Path,
+        source_hash: u64,
+    ) -> Result<Option<IngestMeta>, RunError> {
+        let _guards = self.enter();
+        let mut sink = StreamingEncoder::create(path).map_err(StreamError::from)?;
+        let (cycles, meta) = self.produce(&mut sink)?;
+        sink.finish(cycles, source_hash)?;
+        Ok(meta)
+    }
+}
+
+/// Interprets `bench` at `scale` once, feeding every event to `sink`;
+/// returns the cycle count (instructions retired).
+fn interpret(bench: Benchmark, scale: u32, sink: &mut impl TraceSink) -> Result<u64, RunError> {
+    let wl = bench.workload(scale)?;
+    let mut cpu = Cpu::new(&wl.program);
+    let outcome = cpu.run(wl.max_steps, sink)?;
+    if !outcome.halted() {
+        return Err(RunError::StepLimit {
+            max_steps: wl.max_steps,
+        });
+    }
+    Ok(cpu.instret())
+}
+
 /// Executes `bench` once and records its full event stream.
 ///
-/// This is the "record" half of the engine; [`replay_trace`] is the other.
-/// Splitting them lets callers amortize one CPU run over many replays
-/// (geometry sweeps, scheme sweeps) instead of re-interpreting the kernel.
+/// Recording once lets callers amortize one CPU run over many replays
+/// (geometry sweeps, scheme sweeps) instead of re-interpreting the kernel;
+/// [`Experiment::recorded`](crate::Experiment::recorded) replays the
+/// result.
 ///
 /// # Errors
 ///
 /// Returns [`RunError`] if the kernel fails to assemble, faults, or does
 /// not halt within its step budget.
 pub fn record_trace(bench: Benchmark, cfg: &SimConfig) -> Result<RecordedTrace, RunError> {
-    let _phase = waymem_obs::phase::enter(Phase::Record);
-    let _span = waymem_obs::span!("record", workload = bench.name());
-    let wl = bench.workload(cfg.scale)?;
-    // Reserve far more than a kernel usually touches: unused capacity
-    // costs address space, not memory. A reservation above 32 MB (the
-    // largest block glibc's malloc ever serves from its arenas) is mapped
-    // straight from the OS, so growing it remaps instead of copying, and
-    // dropping the trace returns its memory at once; a smaller one can
-    // leave tens of MB resident in a worker thread's arena after a cold
-    // run drops its traces. `shrink_to_fit` hands the unused tail back.
-    let mut sink = SplitRecordingSink {
-        fetches: Vec::with_capacity(RECORD_RESERVE_EVENTS),
-        data: Vec::with_capacity(RECORD_RESERVE_EVENTS),
-    };
-    let mut cpu = Cpu::new(&wl.program);
-    let outcome = cpu.run(wl.max_steps, &mut sink)?;
-    if !outcome.halted() {
-        return Err(RunError::StepLimit {
-            max_steps: wl.max_steps,
-        });
-    }
-    sink.fetches.shrink_to_fit();
-    sink.data.shrink_to_fit();
-    Ok(RecordedTrace {
-        fetch_events: sink.fetches,
-        data_events: sink.data,
-        cycles: cpu.instret(),
-    })
+    Ok(Producer::Kernel { bench, scale: cfg.scale }.record()?.0)
 }
 
-/// Executes `bench` once, encoding its full event stream straight to a
-/// `.wmtr` file at `path` — the bounded-memory counterpart of
-/// [`record_trace`]: the event vector is never materialized, so a
-/// long-running kernel costs O(1) resident memory to capture. The file's
-/// header carries [`kernel_source_hash`] as its staleness fingerprint,
-/// so a store treats it exactly like a trace it recorded itself.
-///
-/// # Errors
-///
-/// [`RunError`] if the kernel fails to assemble, faults, does not halt
-/// within its step budget, or the file cannot be written.
-pub fn record_trace_streaming(
-    bench: Benchmark,
-    cfg: &SimConfig,
-    path: &Path,
-) -> Result<StreamStats, RunError> {
-    let _phase = waymem_obs::phase::enter(Phase::Record);
-    let _span = waymem_obs::span!("record", workload = bench.name());
-    let wl = bench.workload(cfg.scale)?;
-    let mut sink = StreamingEncoder::create(path).map_err(StreamError::from)?;
-    let mut cpu = Cpu::new(&wl.program);
-    let outcome = cpu.run(wl.max_steps, &mut sink)?;
-    if !outcome.halted() {
-        return Err(RunError::StepLimit {
-            max_steps: wl.max_steps,
-        });
-    }
-    let cycles = cpu.instret();
-    Ok(sink.finish(cycles, kernel_source_hash(bench, cfg.scale))?)
-}
-
-/// The per-run Eq. (1) ingredients shared by every scheme: the cache's
+/// Composes the Eq. (1) result of every joined front-end. The cache's
 /// per-access energies depend only on geometry and technology, so they
 /// are computed once per run, not once per scheme.
-fn run_energies(cfg: &SimConfig) -> waymem_hwmodel::CacheEnergies {
+fn compose(
+    workload: WorkloadId,
+    cycles: u64,
+    cfg: &SimConfig,
+    dfronts: &[DFront],
+    ifronts: &[IFront],
+) -> SimResult {
     let shape = CacheShape {
         sets: cfg.geometry.sets(),
         ways: cfg.geometry.ways(),
         line_bytes: cfg.geometry.line_bytes(),
         tag_bits: cfg.geometry.tag_bits(),
     };
-    cache_energies(shape, cfg.technology)
-}
-
-/// Composes the Eq. (1) result for one joined D-front.
-fn dscheme_result(
-    f: &DFront,
-    cycles: u64,
-    cfg: &SimConfig,
-    energies: waymem_hwmodel::CacheEnergies,
-) -> SchemeResult {
-    let energy = f.energy_counts(cycles);
-    let mab = f.mab_shape().map(|s| mab_power_mw(s, cfg.technology));
-    SchemeResult {
-        name: f.scheme().name(),
-        stats: f.stats(),
-        energy,
-        power: PowerBreakdown::from_counts(energy, energies, mab, cfg.technology),
-        extra_cycles: f.extra_cycles(),
+    let energies = cache_energies(shape, cfg.technology);
+    let power = |energy: EnergyCounts, mab: Option<MabShape>| {
+        let mab = mab.map(|s| mab_power_mw(s, cfg.technology));
+        PowerBreakdown::from_counts(energy, energies, mab, cfg.technology)
+    };
+    SimResult {
+        workload,
+        cycles,
+        dcache: dfronts
+            .iter()
+            .map(|f| {
+                let energy = f.energy_counts(cycles);
+                SchemeResult {
+                    name: f.scheme().name(),
+                    stats: f.stats(),
+                    energy,
+                    power: power(energy, f.mab_shape()),
+                    extra_cycles: f.extra_cycles(),
+                }
+            })
+            .collect(),
+        icache: ifronts
+            .iter()
+            .map(|f| {
+                let energy = f.energy_counts(cycles);
+                SchemeResult {
+                    name: f.scheme().name(),
+                    stats: f.stats(),
+                    energy,
+                    power: power(energy, f.mab_shape()),
+                    extra_cycles: 0,
+                }
+            })
+            .collect(),
     }
-}
-
-/// Composes the Eq. (1) result for one joined I-front.
-fn ischeme_result(
-    f: &IFront,
-    cycles: u64,
-    cfg: &SimConfig,
-    energies: waymem_hwmodel::CacheEnergies,
-) -> SchemeResult {
-    let energy = f.energy_counts(cycles);
-    let mab = f.mab_shape().map(|s| mab_power_mw(s, cfg.technology));
-    SchemeResult {
-        name: f.scheme().name(),
-        stats: f.stats(),
-        energy,
-        power: PowerBreakdown::from_counts(energy, energies, mab, cfg.technology),
-        extra_cycles: 0,
-    }
-}
-
-/// Whether fanning replays out across threads can pay for itself: more
-/// than one front-end to run, and more than one hardware thread to run
-/// them on. On a single-core host the scoped workers would only
-/// interleave, so the engine replays inline instead — the numbers are
-/// identical either way (each front-end consumes the same slice in
-/// isolation); only wall-clock differs.
-pub(crate) fn replay_in_parallel(front_count: usize) -> bool {
-    front_count > 1
-        && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }
 
 /// Elapsed nanoseconds since `started`, saturated to `u64::MAX`.
@@ -509,206 +612,49 @@ fn elapsed_ns(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Builds one D-front and replays the recorded data stream through it,
-/// publishing the per-front instruments: `replay.data_events` (events
-/// delivered), `replay.front_ns` (wall-clock per front), and a
-/// `replay.front` span. Shared by the parallel workers and the serial
-/// path so both report identically.
-fn replay_d_front(s: DScheme, geometry: Geometry, events: &[TraceEvent]) -> DFront {
-    let _span = waymem_obs::span!("replay.front", scheme = s.name());
+/// Builds one front-end and feeds it one section of `source`, publishing
+/// the per-front instruments: a `replay.front` span, the section's
+/// `replay.data_events` / `replay.fetch_events` counter (events
+/// delivered) and the `replay.front_ns` histogram (wall-clock per front).
+fn replay_front<F: TraceSink>(
+    source: &TraceSource,
+    section: Section,
+    scheme: impl FnOnce() -> String,
+    build: impl FnOnce() -> F,
+) -> Result<F, StreamError> {
+    let _span = waymem_obs::span!("replay.front", scheme = scheme());
     let started = Instant::now();
-    let mut f = s.build(geometry);
-    f.events(events);
-    waymem_obs::counter!("replay.data_events").add(events.len() as u64);
+    let mut front = build();
+    let delivered = source.feed(section, &mut front)?;
+    match section {
+        Section::Data => waymem_obs::counter!("replay.data_events"),
+        Section::Fetch => waymem_obs::counter!("replay.fetch_events"),
+    }
+    .add(delivered);
     waymem_obs::histogram!("replay.front_ns").record(elapsed_ns(started));
-    f
+    Ok(front)
 }
 
-/// The I-front counterpart of [`replay_d_front`]: counts into
-/// `replay.fetch_events`.
-fn replay_i_front(s: IScheme, geometry: Geometry, events: &[TraceEvent]) -> IFront {
-    let _span = waymem_obs::span!("replay.front", scheme = s.name());
-    let started = Instant::now();
-    let mut f = s.build(geometry);
-    f.events(events);
-    waymem_obs::counter!("replay.fetch_events").add(events.len() as u64);
-    waymem_obs::histogram!("replay.front_ns").record(elapsed_ns(started));
-    f
-}
-
-/// Streaming counterpart of [`replay_d_front`]: replays the data section
-/// straight from the `.wmtr` cursor, counting the delivered events that
-/// [`StreamingTrace::replay_section`] reports.
-fn stream_d_front(
-    s: DScheme,
-    geometry: Geometry,
-    trace: &StreamingTrace,
-) -> Result<DFront, StreamError> {
-    let _span = waymem_obs::span!("replay.front", scheme = s.name());
-    let started = Instant::now();
-    let mut f = s.build(geometry);
-    let delivered = trace.replay_section(Section::Data, &mut f)?;
-    waymem_obs::counter!("replay.data_events").add(delivered);
-    waymem_obs::histogram!("replay.front_ns").record(elapsed_ns(started));
-    Ok(f)
-}
-
-/// Streaming counterpart of [`replay_i_front`].
-fn stream_i_front(
-    s: IScheme,
-    geometry: Geometry,
-    trace: &StreamingTrace,
-) -> Result<IFront, StreamError> {
-    let _span = waymem_obs::span!("replay.front", scheme = s.name());
-    let started = Instant::now();
-    let mut f = s.build(geometry);
-    let delivered = trace.replay_section(Section::Fetch, &mut f)?;
-    waymem_obs::counter!("replay.fetch_events").add(delivered);
-    waymem_obs::histogram!("replay.front_ns").record(elapsed_ns(started));
-    Ok(f)
-}
-
-/// Replays an already-recorded trace of the kernel `bench` through every
-/// requested scheme's front-end.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Experiment::recorded(WorkloadId::kernel(bench, cfg.scale), trace).run()"
-)]
-#[must_use]
-pub fn replay_trace(
-    bench: Benchmark,
-    trace: &RecordedTrace,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> SimResult {
-    replay_with_policy(
-        WorkloadId::kernel(bench, cfg.scale),
-        trace,
-        cfg,
-        dschemes,
-        ischemes,
-        ExecPolicy::Auto,
-    )
-}
-
-/// Evaluates **any** recorded trace across every requested scheme's
-/// front-end.
-#[deprecated(since = "0.1.0", note = "use Experiment::recorded(workload, trace).run()")]
-#[must_use]
-pub fn run_trace(
-    workload: WorkloadId,
-    trace: &RecordedTrace,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> SimResult {
-    replay_with_policy(workload, trace, cfg, dschemes, ischemes, ExecPolicy::Auto)
-}
-
-/// The replay half of the engine: evaluates a recorded trace — a
-/// built-in kernel's, an ingested external log's, a synthetic
-/// generator's — across every requested scheme's front-end, under the
-/// given [`ExecPolicy`].
+/// The replay half of the engine: evaluates a trace source — a built-in
+/// kernel's, an ingested external log's, a synthetic generator's; in
+/// memory or on disk — across every requested scheme's front-end, under
+/// the given [`ExecPolicy`].
 ///
-/// The parallel fan-out is bounded: schemes are chunked across at most
+/// The parallel fan-out is bounded: D- and I-schemes are chunked
+/// separately, `ceil((d + i) / workers)` to a chunk, across at most
 /// [`std::thread::available_parallelism`] workers, each replaying its
 /// chunk sequentially, so a long scheme list never spawns more compute
 /// threads than the host has cores. Chunks are joined in scheme order,
 /// so the result vectors keep the order the schemes were given and the
 /// outcome is deterministic: every front-end consumes the identical
-/// event slice independently, so the numbers are bit-identical to a
+/// event stream independently, so the numbers are bit-identical to a
 /// serial replay (pinned by `tests/experiment.rs`).
-pub(crate) fn replay_with_policy(
-    workload: WorkloadId,
-    trace: &RecordedTrace,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    policy: ExecPolicy,
-) -> SimResult {
-    let _phase = waymem_obs::phase::enter(Phase::Replay);
-    let _span = waymem_obs::span!("replay", workload = workload.name());
-    let parallel = match policy {
-        ExecPolicy::Auto => replay_in_parallel(dschemes.len() + ischemes.len()),
-        ExecPolicy::Parallel => true,
-        ExecPolicy::Serial => false,
-    };
-    let data_events = trace.data_events.as_slice();
-    let fetch_events = trace.fetch_events.as_slice();
-    let (dfronts, ifronts) = if parallel {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let chunk = (dschemes.len() + ischemes.len()).div_ceil(workers).max(1);
-        std::thread::scope(|scope| {
-            let dhandles: Vec<_> = dschemes
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .iter()
-                            .map(|&s| replay_d_front(s, cfg.geometry, data_events))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let ihandles: Vec<_> = ischemes
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .iter()
-                            .map(|&s| replay_i_front(s, cfg.geometry, fetch_events))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let dfronts: Vec<DFront> = dhandles
-                .into_iter()
-                .flat_map(|h| h.join().expect("D-front replay worker panicked"))
-                .collect();
-            let ifronts: Vec<IFront> = ihandles
-                .into_iter()
-                .flat_map(|h| h.join().expect("I-front replay worker panicked"))
-                .collect();
-            (dfronts, ifronts)
-        })
-    } else {
-        (
-            dschemes
-                .iter()
-                .map(|&s| replay_d_front(s, cfg.geometry, data_events))
-                .collect(),
-            ischemes
-                .iter()
-                .map(|&s| replay_i_front(s, cfg.geometry, fetch_events))
-                .collect(),
-        )
-    };
-    let energies = run_energies(cfg);
-    SimResult {
-        workload,
-        cycles: trace.cycles,
-        dcache: dfronts
-            .iter()
-            .map(|f| dscheme_result(f, trace.cycles, cfg, energies))
-            .collect(),
-        icache: ifronts
-            .iter()
-            .map(|f| ischeme_result(f, trace.cycles, cfg, energies))
-            .collect(),
-    }
-}
-
-/// Replays either trace source across every requested scheme's
-/// front-end: materialized sources go through [`replay_with_policy`]
-/// unchanged; streaming sources fan each front-end out over its own
-/// file cursor, consuming the section in bounded batches.
 ///
 /// # Errors
 ///
 /// [`RunError::Stream`] when a streaming source's file fails to read or
 /// decode mid-replay. Materialized replay is infallible.
-pub(crate) fn replay_source_with_policy(
+pub(crate) fn replay(
     workload: WorkloadId,
     source: &TraceSource,
     cfg: &SimConfig,
@@ -716,116 +662,43 @@ pub(crate) fn replay_source_with_policy(
     ischemes: &[IScheme],
     policy: ExecPolicy,
 ) -> Result<SimResult, RunError> {
-    match source {
-        TraceSource::Materialized(trace) => {
-            Ok(replay_with_policy(workload, trace, cfg, dschemes, ischemes, policy))
-        }
-        TraceSource::Streaming(trace) => {
-            replay_streaming(workload, trace, cfg, dschemes, ischemes, policy)
-        }
-    }
-}
-
-/// The streaming replay engine: every front-end replays its section
-/// (fetches for I-fronts, loads/stores for D-fronts) straight from the
-/// `.wmtr` file through its own independent cursor —
-/// [`StreamingTrace::replay_section`] opens a fresh file handle per
-/// call, so the parallel fan-out needs no coordination and the numbers
-/// are bit-identical to the materialized engine (each front-end consumes
-/// the identical event sequence in isolation, in the same batched
-/// `events()` entry point).
-fn replay_streaming(
-    workload: WorkloadId,
-    trace: &StreamingTrace,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    policy: ExecPolicy,
-) -> Result<SimResult, RunError> {
     let _phase = waymem_obs::phase::enter(Phase::Replay);
     let _span = waymem_obs::span!("replay", workload = workload.name());
-    let parallel = match policy {
-        ExecPolicy::Auto => replay_in_parallel(dschemes.len() + ischemes.len()),
-        ExecPolicy::Parallel => true,
-        ExecPolicy::Serial => false,
-    };
-    let (dfronts, ifronts) = if parallel {
+    let geometry = cfg.geometry;
+    let d_front =
+        |&s: &DScheme| replay_front(source, Section::Data, || s.name(), || s.build(geometry));
+    let i_front =
+        |&s: &IScheme| replay_front(source, Section::Fetch, || s.name(), || s.build(geometry));
+    let fronts = dschemes.len() + ischemes.len();
+    let (dfronts, ifronts) = if policy.parallel(fronts) {
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let chunk = (dschemes.len() + ischemes.len()).div_ceil(workers).max(1);
+        let chunk = fronts.div_ceil(workers).max(1);
         std::thread::scope(|scope| -> Result<_, StreamError> {
             let dhandles: Vec<_> = dschemes
                 .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .iter()
-                            .map(|&s| stream_d_front(s, cfg.geometry, trace))
-                            .collect::<Result<Vec<_>, StreamError>>()
-                    })
-                })
+                .map(|group| scope.spawn(move || group.iter().map(d_front).collect::<Result<Vec<_>, _>>()))
                 .collect();
             let ihandles: Vec<_> = ischemes
                 .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .iter()
-                            .map(|&s| stream_i_front(s, cfg.geometry, trace))
-                            .collect::<Result<Vec<_>, StreamError>>()
-                    })
-                })
+                .map(|group| scope.spawn(move || group.iter().map(i_front).collect::<Result<Vec<_>, _>>()))
                 .collect();
-            let mut dfronts: Vec<DFront> = Vec::with_capacity(dschemes.len());
+            let mut dfronts = Vec::with_capacity(dschemes.len());
             for h in dhandles {
-                dfronts.extend(h.join().expect("D-front streaming replay worker panicked")?);
+                dfronts.extend(h.join().expect("D-front replay worker panicked")?);
             }
-            let mut ifronts: Vec<IFront> = Vec::with_capacity(ischemes.len());
+            let mut ifronts = Vec::with_capacity(ischemes.len());
             for h in ihandles {
-                ifronts.extend(h.join().expect("I-front streaming replay worker panicked")?);
+                ifronts.extend(h.join().expect("I-front replay worker panicked")?);
             }
             Ok((dfronts, ifronts))
         })?
     } else {
-        let mut dfronts = Vec::with_capacity(dschemes.len());
-        for &s in dschemes {
-            dfronts.push(stream_d_front(s, cfg.geometry, trace).map_err(RunError::from)?);
-        }
-        let mut ifronts = Vec::with_capacity(ischemes.len());
-        for &s in ischemes {
-            ifronts.push(stream_i_front(s, cfg.geometry, trace).map_err(RunError::from)?);
-        }
-        (dfronts, ifronts)
+        (
+            dschemes.iter().map(d_front).collect::<Result<Vec<_>, _>>()?,
+            ischemes.iter().map(i_front).collect::<Result<Vec<_>, _>>()?,
+        )
     };
-    let cycles = trace.cycles();
-    let energies = run_energies(cfg);
-    Ok(SimResult {
-        workload,
-        cycles,
-        dcache: dfronts
-            .iter()
-            .map(|f| dscheme_result(f, cycles, cfg, energies))
-            .collect(),
-        icache: ifronts
-            .iter()
-            .map(|f| ischeme_result(f, cycles, cfg, energies))
-            .collect(),
-    })
-}
-
-/// Runs `bench` once and returns per-scheme statistics and Eq. (1) power
-/// for every requested D- and I-cache scheme.
-#[deprecated(since = "0.1.0", note = "use Experiment::kernel(bench).run()")]
-pub fn run_benchmark(
-    bench: Benchmark,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> Result<SimResult, RunError> {
-    crate::Experiment::kernel(bench)
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .run()
+    Ok(compose(workload, source.cycles(), cfg, &dfronts, &ifronts))
 }
 
 /// The FNV-1a64 of the kernel's generated assembly source at `scale` —
@@ -835,11 +708,11 @@ pub fn run_benchmark(
 /// instead of silently replayed.
 ///
 /// Memoized per `(benchmark, scale)` for the process lifetime: sweeps
-/// call the store-backed runners hundreds of times per configuration,
-/// and regenerating a kernel's full source (synthetic input frames
-/// included) per call just to re-derive a constant would dwarf the
-/// lookup it guards. Kernel generators are pure, so the hash cannot go
-/// stale within a process.
+/// resolve store-backed kernel experiments hundreds of times per
+/// configuration, and regenerating a kernel's full source (synthetic
+/// input frames included) per call just to re-derive a constant would
+/// dwarf the lookup it guards. Kernel generators are pure, so the hash
+/// cannot go stale within a process.
 #[must_use]
 pub fn kernel_source_hash(bench: Benchmark, scale: u32) -> u64 {
     use std::collections::HashMap;
@@ -856,52 +729,16 @@ pub fn kernel_source_hash(bench: Benchmark, scale: u32) -> u64 {
     hash
 }
 
-/// Like `run_benchmark`, but sourcing the recorded trace from a shared
-/// [`TraceStore`].
-#[deprecated(since = "0.1.0", note = "use Experiment::kernel(bench).store(&store).run()")]
-pub fn run_benchmark_with_store(
-    bench: Benchmark,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    store: &TraceStore,
-) -> Result<SimResult, RunError> {
-    crate::Experiment::kernel(bench)
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .store(store)
-        .run()
-}
-
-/// The custom-producer store-backed runner: evaluates the workload `id`
-/// across all requested schemes, producing its trace at most once per
-/// store lifetime via `record`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Experiment (kernel/synthetic/ingest resolve their own producer), or \
-            TraceStore::get_or_record + Experiment::recorded for a custom producer"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_trace_with_store<E>(
-    id: WorkloadId,
-    source_hash: u64,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    store: &TraceStore,
-    record: impl FnOnce() -> Result<RecordedTrace, E>,
-) -> Result<SimResult, E> {
-    let trace = store.get_or_record(id, source_hash, record)?;
-    Ok(replay_with_policy(id, &trace, cfg, dschemes, ischemes, ExecPolicy::Auto))
-}
-
-/// The pre-record/replay serial engine: one CPU run with every front-end
-/// fed per event through the serial [`FanoutSink`], skipping trace
-/// materialization entirely. This is what [`ExecPolicy::Serial`] (and
-/// `Auto`, when parallel replay cannot pay) resolves to for kernel
-/// workloads without a store; kept private as the reference engine the
-/// parallel replay is cross-validated against.
+/// The store-less serial kernel engine: one CPU run with every front-end
+/// fed per event through a [`FanoutSink`], skipping trace
+/// materialization entirely. [`ExecPolicy::Serial`] (and `Auto`, when
+/// parallel replay cannot pay) resolves to it for kernel workloads
+/// without a store or streaming. It stays because recording the trace
+/// and replaying it serially costs more: on a 2-thread host that route
+/// raised `perfbench`'s `paper-cold` `setup_s` — its serial reference
+/// run — from a median of 0.233 s to 0.313 s (+34 %, 8 alternating
+/// pairs). It is also the reference the replay engine is cross-checked
+/// against (`tests/determinism.rs`).
 ///
 /// # Errors
 ///
@@ -915,105 +752,20 @@ pub(crate) fn run_kernel_fanout(
 ) -> Result<SimResult, RunError> {
     let _phase = waymem_obs::phase::enter(Phase::Replay);
     let _span = waymem_obs::span!("replay", workload = bench.name());
-    let wl = bench.workload(cfg.scale)?;
     let mut sink = FanoutSink {
         dfronts: dschemes.iter().map(|s| s.build(cfg.geometry)).collect(),
         ifronts: ischemes.iter().map(|s| s.build(cfg.geometry)).collect(),
     };
-    let mut cpu = Cpu::new(&wl.program);
-    let outcome = cpu.run(wl.max_steps, &mut sink)?;
-    if !outcome.halted() {
-        return Err(RunError::StepLimit {
-            max_steps: wl.max_steps,
-        });
-    }
-    let cycles = cpu.instret();
-    let energies = run_energies(cfg);
-    Ok(SimResult {
-        workload: WorkloadId::kernel(bench, cfg.scale),
-        cycles,
-        dcache: sink
-            .dfronts
-            .iter()
-            .map(|f| dscheme_result(f, cycles, cfg, energies))
-            .collect(),
-        icache: sink
-            .ifronts
-            .iter()
-            .map(|f| ischeme_result(f, cycles, cfg, energies))
-            .collect(),
-    })
-}
-
-/// Runs all seven benchmarks under the given schemes, fanning the
-/// benchmarks out across worker threads.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Suite::kernels().dschemes(..).ischemes(..).run()"
-)]
-pub fn run_suite(
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> Result<Vec<SimResult>, RunError> {
-    Suite::kernels()
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .run()
-        .map(SuiteResult::into_results)
-}
-
-/// `run_suite` with a shared [`TraceStore`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use Suite::kernels().dschemes(..).ischemes(..).store(&store).run()"
-)]
-pub fn run_suite_with_store(
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    store: &TraceStore,
-) -> Result<Vec<SimResult>, RunError> {
-    Suite::kernels()
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .store(store)
-        .run()
-        .map(SuiteResult::into_results)
-}
-
-/// The fully serial suite driver: benchmarks one after another, each
-/// feeding every front-end per event through the serial fanout sink.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Suite::kernels().policy(ExecPolicy::Serial)…run()"
-)]
-pub fn run_suite_serial(
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> Result<Vec<SimResult>, RunError> {
-    Suite::kernels()
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .policy(ExecPolicy::Serial)
-        .run()
-        .map(SuiteResult::into_results)
+    let cycles = interpret(bench, cfg.scale, &mut sink)?;
+    let workload = WorkloadId::kernel(bench, cfg.scale);
+    Ok(compose(workload, cycles, cfg, &sink.dfronts, &sink.ifronts))
 }
 
 #[cfg(test)]
 mod tests {
-    // These unit tests deliberately keep exercising the deprecated shims:
-    // they are the in-crate proof that every shim stays bit-identical to
-    // the `Experiment` pipeline it forwards to. Workspace-level code is
-    // held to the builder API by `tests/deprecation_tripwire.rs`.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::Experiment;
+    use crate::{Experiment, WorkloadSpec};
+    use waymem_trace::TraceStore;
 
     fn paper_schemes() -> (Vec<DScheme>, Vec<IScheme>) {
         (
@@ -1030,11 +782,15 @@ mod tests {
         )
     }
 
+    /// A paper-scheme experiment over `workload`.
+    fn paper_exp<'s>(workload: impl Into<WorkloadSpec>) -> Experiment<'s> {
+        let (d, i) = paper_schemes();
+        Experiment::new(workload).dschemes(d).ischemes(i)
+    }
+
     #[test]
     fn dct_run_produces_paper_shape() {
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
-        let r = run_benchmark(Benchmark::Dct, &cfg, &d, &i).expect("runs");
+        let r = paper_exp(Benchmark::Dct).run().expect("runs");
         assert!(r.cycles > 50_000);
 
         // All D schemes saw the same accesses.
@@ -1070,9 +826,7 @@ mod tests {
 
     #[test]
     fn stats_are_internally_consistent() {
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
-        let r = run_benchmark(Benchmark::Compress, &cfg, &d, &i).expect("runs");
+        let r = paper_exp(Benchmark::Compress).run().expect("runs");
         for s in r.dcache.iter().chain(r.icache.iter()) {
             assert!(s.stats.is_consistent(), "{}", s.name);
             assert_eq!(s.energy.cycles, r.cycles);
@@ -1095,96 +849,6 @@ mod tests {
                 "{}: power differs",
                 x.name
             );
-        }
-    }
-
-    #[test]
-    fn parallel_replay_matches_legacy_fanout() {
-        // Exercise the record/replay engine explicitly (not through
-        // `run_benchmark`, which may pick the fanout path on single-core
-        // hosts) and pin it bit-identical to the serial fanout.
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
-        let trace = record_trace(Benchmark::Dct, &cfg).expect("records");
-        let replayed = replay_trace(Benchmark::Dct, &trace, &cfg, &d, &i);
-        let fanout = run_kernel_fanout(Benchmark::Dct, &cfg, &d, &i).expect("fanout runs");
-        assert_results_identical(&replayed, &fanout);
-    }
-
-    #[test]
-    fn experiment_builder_matches_every_legacy_shim() {
-        // The shims must be pure plumbing: each one bit-identical to the
-        // builder chain its deprecation note names.
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
-
-        let legacy = run_benchmark(Benchmark::Dct, &cfg, &d, &i).expect("legacy runs");
-        let built = Experiment::kernel(Benchmark::Dct)
-            .dschemes(d.iter().copied())
-            .ischemes(i.iter().copied())
-            .run()
-            .expect("builder runs");
-        assert_results_identical(&legacy, &built);
-
-        let trace = record_trace(Benchmark::Dct, &cfg).expect("records");
-        let legacy = run_trace(
-            WorkloadId::kernel(Benchmark::Dct, 1),
-            &trace,
-            &cfg,
-            &d,
-            &i,
-        );
-        let built = Experiment::recorded(
-            WorkloadId::kernel(Benchmark::Dct, 1),
-            trace.clone(),
-        )
-        .dschemes(d.iter().copied())
-        .ischemes(i.iter().copied())
-        .run()
-        .expect("builder replays");
-        assert_results_identical(&legacy, &built);
-
-        let legacy_store = TraceStore::new();
-        let built_store = TraceStore::new();
-        let legacy = run_benchmark_with_store(Benchmark::Dct, &cfg, &d, &i, &legacy_store)
-            .expect("legacy store run");
-        let built = Experiment::kernel(Benchmark::Dct)
-            .dschemes(d.iter().copied())
-            .ischemes(i.iter().copied())
-            .store(&built_store)
-            .run()
-            .expect("builder store run");
-        assert_results_identical(&legacy, &built);
-        assert_eq!(legacy_store.stats().records, built_store.stats().records);
-
-        let legacy = run_suite(&cfg, &d, &i).expect("legacy suite");
-        let built = crate::Suite::kernels()
-            .dschemes(d.iter().copied())
-            .ischemes(i.iter().copied())
-            .run()
-            .expect("builder suite");
-        assert_eq!(legacy.len(), built.len());
-        for (a, b) in legacy.iter().zip(built.iter()) {
-            assert_results_identical(a, b);
-        }
-
-        let serial = run_suite_serial(&cfg, &d, &i).expect("legacy serial suite");
-        for (a, b) in serial.iter().zip(legacy.iter()) {
-            assert_results_identical(a, b);
-        }
-    }
-
-    #[test]
-    fn replaying_a_recorded_trace_twice_is_identical() {
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
-        let trace = record_trace(Benchmark::Fft, &cfg).expect("records");
-        assert!(!trace.is_empty());
-        let first = replay_trace(Benchmark::Fft, &trace, &cfg, &d, &i);
-        let second = replay_trace(Benchmark::Fft, &trace, &cfg, &d, &i);
-        assert_results_identical(&first, &second);
-        for (x, y) in first.dcache.iter().zip(&second.dcache) {
-            assert_eq!(x.stats, y.stats);
         }
     }
 
@@ -1227,19 +891,22 @@ mod tests {
     #[test]
     fn store_backed_run_matches_plain_run_and_records_once() {
         let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
         let store = TraceStore::new();
         let trace = record_trace(Benchmark::Dct, &cfg).expect("records");
-        let plain = replay_trace(Benchmark::Dct, &trace, &cfg, &d, &i);
-        let first =
-            run_benchmark_with_store(Benchmark::Dct, &cfg, &d, &i, &store).expect("runs");
+        let plain = paper_exp(WorkloadSpec::Recorded {
+            id: WorkloadId::kernel(Benchmark::Dct, 1),
+            trace: Arc::new(trace),
+        })
+        .run()
+        .expect("replays");
+        let first = paper_exp(Benchmark::Dct).store(&store).run().expect("runs");
         // A different geometry replays the *same* stored trace.
-        let wide = SimConfig {
-            geometry: waymem_cache::Geometry::new(128, 8, 32).expect("valid"),
-            ..cfg
-        };
-        let second =
-            run_benchmark_with_store(Benchmark::Dct, &wide, &d, &i, &store).expect("runs");
+        let wide = waymem_cache::Geometry::new(128, 8, 32).expect("valid");
+        let second = paper_exp(Benchmark::Dct)
+            .geometry(wide)
+            .store(&store)
+            .run()
+            .expect("runs");
         assert_results_identical(&plain, &first);
         assert_eq!(second.cycles, first.cycles, "same trace, same cycles");
         let s = store.stats();
@@ -1251,8 +918,6 @@ mod tests {
         // A hand-built trace with no kernel behind it — the ingest
         // subsystem's shape — must flow through the same engine and
         // produce consistent per-scheme accounting.
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
         let trace = RecordedTrace {
             fetch_events: (0..2000)
                 .map(|k| TraceEvent::Fetch { pc: 0x1000 + 4 * k, kind: FetchKind::Sequential })
@@ -1268,7 +933,9 @@ mod tests {
             cycles: 2000,
         };
         let id = WorkloadId::External { hash: 0xabcd };
-        let r = run_trace(id, &trace, &cfg, &d, &i);
+        let r = paper_exp(WorkloadSpec::Recorded { id, trace: Arc::new(trace) })
+            .run()
+            .expect("replays");
         assert_eq!(r.workload, id);
         assert_eq!(r.cycles, 2000);
         for s in r.dcache.iter().chain(r.icache.iter()) {
@@ -1280,8 +947,9 @@ mod tests {
 
     #[test]
     fn run_trace_with_store_produces_once_and_verifies_hash() {
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
+        // A custom producer seeds the store once; the builder then
+        // resolves the bare external id through the store, checking the
+        // id's hash against the cached copy's.
         let id = WorkloadId::External { hash: 77 };
         let store = TraceStore::new();
         let mut productions = 0;
@@ -1291,14 +959,23 @@ mod tests {
             cycles: 1,
         };
         for _ in 0..2 {
-            let r = run_trace_with_store(id, 77, &cfg, &d, &i, &store, || {
-                productions += 1;
-                Ok::<_, ()>(trace.clone())
-            })
-            .expect("runs");
+            store
+                .get_or_record(id, 77, || {
+                    productions += 1;
+                    Ok::<_, ()>(trace.clone())
+                })
+                .expect("seeds");
+            let r = paper_exp(id).store(&store).run().expect("runs");
             assert_eq!(r.workload, id);
         }
         assert_eq!(productions, 1, "second run must hit the store");
+
+        // A copy cached under another hash is stale: the builder will not
+        // replay it, and has nothing to re-produce it from.
+        let other = WorkloadId::External { hash: 78 };
+        store.get_or_record(other, 5, || Ok::<_, ()>(trace.clone())).expect("seeds");
+        let err = paper_exp(other).store(&store).run().expect_err("stale");
+        assert_eq!(err, RunError::MissingTrace { id: other });
     }
 
     #[test]
@@ -1312,14 +989,11 @@ mod tests {
 
     #[test]
     fn lookup_by_name_works() {
-        let cfg = SimConfig::default();
-        let r = run_benchmark(
-            Benchmark::Dct,
-            &cfg,
-            &[DScheme::Original],
-            &[IScheme::Original],
-        )
-        .expect("runs");
+        let r = Experiment::kernel(Benchmark::Dct)
+            .dschemes([DScheme::Original])
+            .ischemes([IScheme::Original])
+            .run()
+            .expect("runs");
         assert!(r.dcache_by_name("original").is_some());
         assert!(r.dcache_by_name("nope").is_none());
         assert!(r.icache_by_name("original").is_some());

@@ -1,8 +1,8 @@
 //! # waymem-trace — trace storage for the way-memoization workbench
 //!
-//! The simulator's record-once/replay-in-parallel engine (PR 2) pays the
-//! CPU-interpreter cost once *per `run_benchmark` call*. Sweeps call it
-//! dozens of times with different cache geometries while the recorded
+//! The simulator's record-once/replay-in-parallel engine pays the
+//! CPU-interpreter cost once *per experiment run*. Sweeps run dozens of
+//! experiments with different cache geometries while the recorded
 //! stream — which depends only on the benchmark and its scale — stays
 //! identical. This crate makes traces first-class stored artifacts:
 //!
@@ -37,9 +37,12 @@
 //!   (optionally) persists recordings under a size-capped cache
 //!   directory so repeated process invocations skip production entirely.
 //!
-//! `waymem-sim::run_benchmark_with_store` / `run_trace_with_store` and
-//! `waymem-bench::run_suite_with_store` thread one store through whole
-//! sweeps; the bench bins create one per process.
+//! [`spill_scratch`] is the one path for a stream nothing will keep (a
+//! memory-only store's, or a store-less streaming experiment's): a
+//! self-deleting file under the system temp dir.
+//!
+//! `waymem-sim`'s `Experiment` / `Suite` builder threads one store
+//! through whole sweeps; the bench bins create one per process.
 //!
 //! ```
 //! use waymem_trace::{codec, TraceStore, WorkloadId};
@@ -80,6 +83,6 @@ pub use codec::{
     Section,
 };
 pub use fault::{FaultFile, FaultPlan, StoreIo};
-pub use store::{StoreStats, TraceStore, LOCK_SUFFIX, QUARANTINE_DIR};
+pub use store::{spill_scratch, StoreStats, TraceStore, LOCK_SUFFIX, QUARANTINE_DIR};
 pub use stream::{StreamError, StreamStats, StreamingEncoder, StreamingTrace};
 pub use workload::{fnv1a64, fnv1a64_update, SynthPattern, SynthSpec, WorkloadId, FNV1A64_SEED};

@@ -258,7 +258,7 @@ enum DiskLoad {
 /// One key's slot. The per-key mutex serializes *production* of that key
 /// only: two threads racing on the same workload produce it once (the
 /// loser blocks, then hits), while different keys record concurrently —
-/// exactly what `run_suite`'s benchmark fan-out needs.
+/// exactly what a parallel `Suite`'s workload fan-out needs.
 type Slot = Arc<Mutex<Option<Cached>>>;
 
 /// A thread-safe, keyed cache of recorded traces with optional on-disk
@@ -505,11 +505,7 @@ impl TraceStore {
             if !name.ends_with(fault::TEMP_SUFFIX) {
                 continue;
             }
-            let orphaned = match fault::temp_owner_pid(name) {
-                Some(pid) => process_is_dead(pid).unwrap_or_else(|| entry_is_old(&entry)),
-                None => entry_is_old(&entry),
-            };
-            if orphaned && fs::remove_file(&path).is_ok() {
+            if is_orphaned(&entry, fault::temp_owner_pid(name)) && fs::remove_file(&path).is_ok() {
                 waymem_obs::info!("store.orphan_swept", path = path.display());
             }
         }
@@ -685,18 +681,6 @@ impl TraceStore {
         Ok(trace)
     }
 
-    /// A unique scratch path for a store-less streaming open; the
-    /// returned [`StreamingTrace`] deletes it on drop.
-    fn scratch_stream_path(key: WorkloadId) -> PathBuf {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "waymem-scratch-{}-{n}-{}",
-            std::process::id(),
-            key.file_name()
-        ))
-    }
-
     /// Returns a bounded-memory [`StreamingTrace`] handle for `key`,
     /// running `produce` (which must write a complete `.wmtr` file to
     /// the path it is given — e.g. through a
@@ -815,17 +799,18 @@ impl TraceStore {
         }
 
         // Memory-only store: the file is scratch, cleaned up on drop.
-        let path = Self::scratch_stream_path(key);
-        if let Some((hash, trace)) = cached {
-            stream::write_encoded_with(&trace, hash, &path, &self.io)
-                .map_err(|e| E::from(StreamError::Io(e)))?;
-            Counters::bump(&self.counters.hits);
-            Counters::bump(&self.counters.stream_opens);
-        } else {
-            produce(&path)?;
-            Counters::bump(&self.counters.records);
-        }
-        Ok(StreamingTrace::open_with(&path, self.io.clone()).map_err(E::from)?.delete_on_drop())
+        spill_scratch(key, &self.io, |path| {
+            if let Some((hash, trace)) = cached {
+                stream::write_encoded_with(&trace, hash, path, &self.io)
+                    .map_err(|e| E::from(StreamError::Io(e)))?;
+                Counters::bump(&self.counters.hits);
+                Counters::bump(&self.counters.stream_opens);
+            } else {
+                produce(path)?;
+                Counters::bump(&self.counters.records);
+            }
+            Ok(())
+        })
     }
 
     /// The trace for `key` if it is already in memory. Does not consult
@@ -928,6 +913,68 @@ impl TraceStore {
     }
 }
 
+/// Name prefix of every scratch spill under [`std::env::temp_dir`]:
+/// `waymem-scratch-<pid>-<seq>-<workload file name>`.
+const SCRATCH_PREFIX: &str = "waymem-scratch-";
+
+/// Spills a stream that nothing will keep — a memory-only store's, or a
+/// store-less streaming experiment's — to a per-process scratch path
+/// under [`std::env::temp_dir`], and opens it through `io` marked to
+/// delete itself when the handle drops. `produce` must write a complete
+/// `.wmtr` file to the path it is given. If it fails, or the file does
+/// not open, the file is removed and the error returned.
+///
+/// The first spill in a process also removes the scratch files of dead
+/// processes (crashed before their handles dropped); files of live ones,
+/// this process included, stay.
+///
+/// # Errors
+///
+/// The producer's error, or the open's [`StreamError`] converted via
+/// `E: From<StreamError>`.
+pub fn spill_scratch<E: From<StreamError>>(
+    key: WorkloadId,
+    io: &StoreIo,
+    produce: impl FnOnce(&Path) -> Result<(), E>,
+) -> Result<StreamingTrace, E> {
+    static SWEPT: AtomicBool = AtomicBool::new(false);
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir();
+    if !SWEPT.swap(true, Ordering::Relaxed) {
+        sweep_dead_scratch(&dir);
+    }
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!(
+        "{SCRATCH_PREFIX}{}-{n}-{}",
+        std::process::id(),
+        key.file_name()
+    ));
+    let opened = produce(&path)
+        .and_then(|()| StreamingTrace::open_with(&path, io.clone()).map_err(E::from));
+    match opened {
+        Ok(st) => Ok(st.delete_on_drop()),
+        Err(e) => {
+            let _ = fs::remove_file(&path);
+            Err(e)
+        }
+    }
+}
+
+/// Removes the scratch spills in `dir` whose owner process is dead.
+fn sweep_dead_scratch(dir: &Path) {
+    let Ok(entries) = fs::read_dir(dir) else { return };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(rest) = name.to_str().and_then(|n| n.strip_prefix(SCRATCH_PREFIX)) else {
+            continue;
+        };
+        let pid = rest.split('-').next().and_then(|pid| pid.parse().ok());
+        if is_orphaned(&entry, pid) && fs::remove_file(entry.path()).is_ok() {
+            waymem_obs::info!("store.scratch_swept", path = entry.path().display());
+        }
+    }
+}
+
 /// The advisory lock file guarding cross-process recording of `path`.
 fn lock_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
@@ -947,6 +994,16 @@ fn process_is_dead(pid: u32) -> Option<bool> {
         Some(!proc_dir.join(pid.to_string()).exists())
     } else {
         None
+    }
+}
+
+/// Whether `entry`, owned by the process `pid` parsed from its name, is
+/// an orphan: its owner is provably dead, or liveness is undecidable
+/// (or the name carries no pid) and the entry is old.
+fn is_orphaned(entry: &fs::DirEntry, pid: Option<u32>) -> bool {
+    match pid {
+        Some(pid) => process_is_dead(pid).unwrap_or_else(|| entry_is_old(entry)),
+        None => entry_is_old(entry),
     }
 }
 
@@ -1350,6 +1407,30 @@ mod tests {
         assert_eq!(store.stats().records, 1);
         drop(st);
         assert!(!scratch.exists());
+    }
+
+    #[test]
+    fn scratch_stream_that_fails_to_open_leaves_no_file() {
+        // The producer writes bytes the open rejects: the error surfaces,
+        // and the scratch file does not outlive it.
+        let store = TraceStore::new();
+        let key = WorkloadId::External { hash: 0x5c7a_7c40 };
+        let mut written = None;
+        let result = store.open_stream(key, 0, |path: &Path| -> Result<(), StreamError> {
+            fs::write(path, b"not a wmtr file")?;
+            written = Some(path.to_path_buf());
+            Ok(())
+        });
+        assert!(result.is_err(), "garbage must not open");
+        assert!(!written.expect("producer ran").exists());
+        let own = format!("{SCRATCH_PREFIX}{}-", std::process::id());
+        let leaked: Vec<String> = fs::read_dir(std::env::temp_dir())
+            .expect("temp dir lists")
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|n| n.starts_with(&own) && n.ends_with(&key.file_name()))
+            .collect();
+        assert!(leaked.is_empty(), "leaked scratch files: {leaked:?}");
     }
 
     #[test]

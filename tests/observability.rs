@@ -3,7 +3,8 @@
 //! the per-worker `replay.*` counters sum to the number of events the
 //! front-ends actually consumed, the `replay.front_ns` histogram holds
 //! one observation per front, and the armed span tracer emits a valid,
-//! balanced Chrome trace for the whole run.
+//! balanced Chrome trace for the whole run. A serial streaming run of
+//! the same workloads must account identically.
 //!
 //! The obs instruments are process-global, so this binary holds exactly
 //! one `#[test]`: deltas stay attributable to the one run it performs.
@@ -71,6 +72,25 @@ fn parallel_suite_metrics_account_for_every_event() {
     let snap = front_hist.snapshot();
     assert_eq!(snap.count, snap.buckets.iter().sum::<u64>());
     assert_eq!(snap.count, front_hist.count());
+
+    // The same workloads streamed from disk and replayed serially go
+    // through the same per-front instruments: again events × fronts, one
+    // observation per front.
+    let data_before = data_ctr.get();
+    let fetch_before = fetch_ctr.get();
+    let fronts_before = front_hist.count();
+    let streamed = Suite::new()
+        .workloads(workloads.clone())
+        .dschemes(dschemes.clone())
+        .ischemes(ischemes.clone())
+        .policy(ExecPolicy::Serial)
+        .streaming(true)
+        .run()
+        .expect("serial streaming suite runs");
+    assert_eq!(streamed.len(), workloads.len());
+    assert_eq!(data_ctr.get() - data_before, expect_data, "streamed replay.data_events");
+    assert_eq!(fetch_ctr.get() - fetch_before, expect_fetch, "streamed replay.fetch_events");
+    assert_eq!(front_hist.count() - fronts_before, fronts);
 
     // The captured spans round-trip as balanced Chrome trace JSON and
     // cover the record and replay phases of the run above.
