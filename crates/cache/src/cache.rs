@@ -24,20 +24,14 @@ pub struct EvictedLine {
     pub dirty: bool,
 }
 
-/// Result of filling a line after a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FillOutcome {
-    /// The way the new line was placed into.
-    pub way: u32,
-    /// The line that was displaced, if the victim way held valid data.
-    pub evicted: Option<EvictedLine>,
-}
-
 /// Result of a full cache access (probe + optional fill + LRU update).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Whether the line was already resident.
     pub hit: bool,
+    /// Whether the line was resident in the set's most-recently-used way —
+    /// a correct guess for an MRU way predictor.
+    pub mru_hit: bool,
     /// The way holding the line after the access.
     pub way: u32,
     /// Set index of the access.
@@ -57,16 +51,16 @@ const DIRTY: u8 = 2;
 /// only residency: which way a line occupies, which line a fill displaces
 /// and whether it was dirty. The state lives in flat `sets × ways` arrays,
 /// each set's most-recent-first way order inline beside its tags.
-/// Soundness of the memoizing schemes is counted directly: a front-end
-/// compares every known-way access with the way this model reports, and
+/// Soundness of the memoizing schemes is counted directly: a scheme
+/// compares every way it memoized with the way this model reports, and
 /// counts disagreements in [`AccessStats::wrong_way`](crate::AccessStats::wrong_way).
 ///
 /// State changes and accounting are decoupled: [`probe`](Self::probe) is a
 /// side-effect-free residency check, [`access`](Self::access) performs the
-/// architectural access (LRU update, fill on miss, dirty tracking), and the
-/// energy-relevant counts of tag/way activations are left to the calling
-/// front-end, because they depend on the lookup *scheme*, not on the cache
-/// state.
+/// architectural access (LRU update, fill on miss, dirty tracking) and
+/// reports its [`AccessOutcome`], and the energy-relevant counts of
+/// tag/way activations are left to the schemes that read the outcome,
+/// because they depend on the lookup *scheme*, not on the cache state.
 ///
 /// ```
 /// use waymem_cache::{AccessKind, Geometry, SetAssocCache};
@@ -157,70 +151,48 @@ impl SetAssocCache {
     }
 
     /// Performs an architectural access: on a hit touches LRU; on a miss
-    /// fills the line into the LRU way (see [`fill`](Self::fill)). A store
-    /// marks the line dirty, after the fill on a miss.
+    /// fills the line into the set's LRU way, counting a write-back when
+    /// the victim is dirty. A store marks the line dirty, after the fill
+    /// on a miss.
     pub fn access(&mut self, addr: u32, kind: AccessKind) -> AccessOutcome {
         let index = self.geom.index_of(addr);
-        let (hit, way, evicted) = match self.probe(addr) {
+        let r = self.set_range(index);
+        let (hit, mru_hit, way, evicted) = match self.resident_way(self.geom.tag_of(addr), index) {
             Some(way) => {
-                let r = self.set_range(index);
-                touch(&mut self.order[r], way as usize);
-                (true, way, None)
+                let order = &mut self.order[r.clone()];
+                let mru_hit = u32::from(order[0]) == way;
+                touch(order, way as usize);
+                (true, mru_hit, way, None)
             }
             None => {
-                let fill = self.fill(addr);
-                (false, fill.way, fill.evicted)
+                let order = &mut self.order[r.clone()];
+                let way = u32::from(order[self.ways - 1]);
+                order.rotate_right(1);
+                let slot = r.start + way as usize;
+                let state = self.state[slot];
+                let evicted = (state & VALID != 0).then(|| EvictedLine {
+                    tag: self.tags[slot],
+                    index,
+                    way,
+                    dirty: state & DIRTY != 0,
+                });
+                self.write_backs += u64::from(state & DIRTY != 0);
+                self.tags[slot] = self.geom.tag_of(addr);
+                self.state[slot] = VALID;
+                self.fills += 1;
+                (false, false, way, evicted)
             }
         };
         if kind == AccessKind::Store {
-            self.state[index as usize * self.ways + way as usize] |= DIRTY;
+            self.state[r.start + way as usize] |= DIRTY;
         }
         AccessOutcome {
             hit,
+            mru_hit,
             way,
             index,
             evicted,
         }
-    }
-
-    /// Fills the line containing `addr` into the LRU way of its set,
-    /// counting a write-back when the victim is dirty. Touches LRU for the
-    /// new line.
-    ///
-    /// Most callers want [`access`](Self::access); `fill` is exposed for
-    /// front-ends that need to separate probe and fill accounting.
-    pub fn fill(&mut self, addr: u32) -> FillOutcome {
-        let index = self.geom.index_of(addr);
-        let r = self.set_range(index);
-        let order = &mut self.order[r.clone()];
-        let victim_way = usize::from(order[self.ways - 1]);
-        order.rotate_right(1);
-        let slot = r.start + victim_way;
-        let state = self.state[slot];
-        let evicted = (state & VALID != 0).then(|| EvictedLine {
-            tag: self.tags[slot],
-            index,
-            way: victim_way as u32,
-            dirty: state & DIRTY != 0,
-        });
-        if state & DIRTY != 0 {
-            self.write_backs += 1;
-        }
-        self.tags[slot] = self.geom.tag_of(addr);
-        self.state[slot] = VALID;
-        self.fills += 1;
-        FillOutcome {
-            way: victim_way as u32,
-            evicted,
-        }
-    }
-
-    /// Invalidates the line containing `addr` (without write-back), returning
-    /// the way it occupied, if resident. Used by coherence-style tests.
-    pub fn invalidate(&mut self, addr: u32) -> Option<u32> {
-        let way = self.probe(addr)?;
-        self.state[self.geom.index_of(addr) as usize * self.ways + way as usize] = 0;
-        Some(way)
     }
 
     /// Total number of line fills performed (equals miss count).
@@ -241,26 +213,11 @@ impl SetAssocCache {
         self.state.iter().filter(|&&s| s & VALID != 0).count() as u64
     }
 
-    /// The LRU victim way of `index`'s set (the way the next fill will use).
-    #[must_use]
-    pub fn victim_way(&self, index: u32) -> u32 {
-        u32::from(self.order[self.set_range(index).end - 1])
-    }
-
     /// The most-recently-used way of `index`'s set — what an MRU way
     /// predictor guesses.
     #[must_use]
     pub fn mru_way(&self, index: u32) -> u32 {
         u32::from(self.order[self.set_range(index).start])
-    }
-
-    /// The tags of `index`'s set in way order, `None` for invalid ways.
-    pub fn set_tags(&self, index: u32) -> impl Iterator<Item = Option<u32>> + '_ {
-        let r = self.set_range(index);
-        self.tags[r.clone()]
-            .iter()
-            .zip(&self.state[r])
-            .map(|(&t, &s)| (s & VALID != 0).then_some(t))
     }
 }
 
@@ -372,27 +329,21 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line_without_writeback() {
+    fn mru_hit_names_hits_on_the_most_recent_way() {
         let mut cache = small();
-        cache.access(0x00, AccessKind::Store);
-        let way = cache.invalidate(0x00);
-        assert!(way.is_some());
-        assert!(cache.probe(0x00).is_none());
-        assert_eq!(cache.resident_lines(), 0);
-        // The freed way is refilled without a write-back.
-        cache.access(0x40, AccessKind::Load);
-        cache.access(0x80, AccessKind::Load);
-        assert_eq!(cache.write_backs(), 0, "invalidate drops dirty state");
-    }
-
-    #[test]
-    fn set_tags_lists_ways_in_order() {
-        let mut cache = small();
-        let g = cache.geometry();
-        cache.access(0x40, AccessKind::Load);
-        let tags: Vec<_> = cache.set_tags(0).collect();
-        assert_eq!(tags, vec![Some(g.tag_of(0x40)), None]);
-        assert_eq!(cache.mru_way(0), 0);
-        assert_eq!(cache.victim_way(0), 1);
+        assert!(
+            !cache.access(0x00, AccessKind::Load).mru_hit,
+            "a miss is never an MRU hit"
+        );
+        cache.access(0x40, AccessKind::Load); // same set, the other way
+        assert_eq!(cache.mru_way(0), 1);
+        assert!(
+            !cache.access(0x00, AccessKind::Load).mru_hit,
+            "way 0 was not MRU"
+        );
+        assert!(
+            cache.access(0x04, AccessKind::Store).mru_hit,
+            "way 0 is MRU now"
+        );
     }
 }

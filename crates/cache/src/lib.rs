@@ -13,22 +13,26 @@
 //! The crate deliberately separates two concerns:
 //!
 //! * **State** — [`SetAssocCache`] holds tags, valid and dirty bits and
-//!   per-set LRU order, and can say which way a line resides in
-//!   ([`SetAssocCache::probe`]). Trace events carry addresses, not data, so
-//!   the model carries no line bytes either. Whether a memoized way is
-//!   sound is counted directly: every known-way access is checked against
-//!   the way the cache reports, and a mismatch increments
-//!   [`AccessStats::wrong_way`].
-//! * **Accounting** — the *front-ends* (in `waymem-sim`) decide how many tag
-//!   and way arrays an access activates under each scheme (conventional,
-//!   set-buffer, intra-line memoization, MAB) and record it in
-//!   [`AccessStats`]. The cache itself never guesses energy.
+//!   per-set LRU order. Each access reports an [`AccessOutcome`]: hit or
+//!   miss, the way holding the line, whether that way was the set's most
+//!   recently used, and the line a fill displaced. Trace events carry
+//!   addresses, not data, so the model carries no line bytes either.
+//! * **Accounting** — the *schemes* (in `waymem-sim`) read each outcome
+//!   and decide how many tag and way arrays the access activates
+//!   (conventional, set-buffer, intra-line memoization, MAB, ...), recording
+//!   it in [`AccessStats`]. The outcome does not depend on the lookup
+//!   scheme, so `waymem-sim` simulates the cache once per access stream and
+//!   runs every scheme's accounting over the same outcomes. Whether a
+//!   memoized way is sound is counted there: a memoized way that differs
+//!   from the outcome's way increments [`AccessStats::wrong_way`]. The
+//!   cache itself never guesses energy.
 //!
 //! Auxiliary hardware structures used by the baselines and by the paper's
 //! "future work" hybrid also live here: [`LineBuffer`] (Su & Despain /
 //! filter-style single-line L0) and [`SetBuffer`] (Yang et al., approach
-//! \[14\]). The flat byte memory the frv-lite interpreter executes against
-//! lives beside the interpreter, in `waymem-isa`.
+//! \[14\], an LRU list of set indices: its buffered tags always equal the
+//! cache's). The flat byte memory the frv-lite interpreter executes
+//! against lives beside the interpreter, in `waymem-isa`.
 //!
 //! ## Quick example
 //!
@@ -59,10 +63,10 @@ mod lru;
 mod set_buffer;
 mod stats;
 
-pub use cache::{AccessKind, AccessOutcome, EvictedLine, FillOutcome, SetAssocCache};
+pub use cache::{AccessKind, AccessOutcome, EvictedLine, SetAssocCache};
 pub use error::GeometryError;
 pub use geometry::Geometry;
 pub use line_buffer::LineBuffer;
 pub use lru::LruOrder;
-pub use set_buffer::{SetBuffer, SetBufferLookup};
+pub use set_buffer::SetBuffer;
 pub use stats::AccessStats;

@@ -94,11 +94,6 @@ impl LineBuffer {
         }
     }
 
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.entries.fill(None);
-    }
-
     /// Probes performed so far.
     #[must_use]
     pub fn lookups(&self) -> u64 {
@@ -109,12 +104,6 @@ impl LineBuffer {
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Number of slots.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -173,7 +162,5 @@ mod tests {
         b.invalidate_line(0x1008);
         assert_eq!(b.lookup(0x1000), None);
         assert_eq!(b.lookup(0x2000), Some(1));
-        b.clear();
-        assert_eq!(b.lookup(0x2000), None);
     }
 }

@@ -1,126 +1,72 @@
-use crate::{Geometry, LruOrder};
-
-/// Outcome of a [`SetBuffer`] probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetBufferLookup {
-    /// The accessed set is buffered and the tag matched: the way is known
-    /// without touching the tag arrays.
-    WayKnown(u32),
-    /// The accessed set is buffered but no buffered tag matched. The buffer
-    /// proves the line's way is *not* among the buffered ways, but a full
-    /// lookup is still required.
-    SetKnownTagMiss,
-    /// The accessed set is not buffered at all.
-    SetMiss,
-}
+use crate::LruOrder;
 
 /// Yang, Yu & Zhang's *lightweight set buffer* (paper approach \[14\]), the
 /// D-cache baseline of Figures 4–5.
 ///
-/// The buffer keeps, for each of a few most-recently-used **sets**, a copy of
-/// the tags of every way of that set. A subsequent access to a buffered set
-/// compares against the small buffered tags instead of activating the
-/// cache's tag arrays, and on a match activates only the matching data way.
-/// Unlike an L0 cache there is no extra-cycle penalty on a buffer miss
-/// (the full lookup proceeds as usual), but unlike the MAB the scheme
-/// "cannot exploit inter-cache-line access locality" — a stream touching a
-/// new set every access gets nothing.
+/// In hardware the buffer keeps, for each of a few most-recently-used
+/// **sets**, a copy of the tags of every way of that set: an access to a
+/// buffered set compares against the small buffered tags instead of
+/// activating the cache's tag arrays, and on a match activates only the
+/// matching data way. Unlike an L0 cache there is no extra-cycle penalty
+/// on a buffer miss (the full lookup proceeds as usual), but unlike the MAB
+/// the scheme "cannot exploit inter-cache-line access locality" — a stream
+/// touching a new set every access gets nothing.
 ///
-/// The buffered tags live in one flat `entries × ways` array, refilled in
-/// place, so a buffer miss allocates nothing.
+/// A buffered copy is refreshed by every access to its set that it does
+/// not resolve, and a set's tags change only through such an access (a
+/// fill after a miss). So the copy always equals the cache's tags, and a
+/// buffer match is exactly "the set is buffered and the access hits":
+/// the model keeps only the LRU list of buffered set indices and reads the
+/// hit from the cache's own outcome.
 ///
 /// ```
-/// use waymem_cache::{Geometry, SetBuffer, SetBufferLookup};
+/// use waymem_cache::SetBuffer;
 ///
-/// let g = Geometry::frv();
-/// let mut sb = SetBuffer::new(g, 1);
-/// let addr = 0x0001_2340;
-/// assert_eq!(sb.lookup(addr), SetBufferLookup::SetMiss);
-/// sb.refill(g.index_of(addr), [Some(g.tag_of(addr)), None]);
-/// assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(0));
+/// let mut sb = SetBuffer::new(1);
+/// assert!(!sb.access(7, true), "set 7 is not buffered yet");
+/// assert!(sb.access(7, true), "buffered, and the access hits");
+/// assert!(!sb.access(7, false), "buffered, but the line is not resident");
+/// assert!(!sb.access(8, true), "set 8 displaces set 7");
+/// assert_eq!((sb.lookups(), sb.way_hits()), (4, 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetBuffer {
-    geom: Geometry,
-    ways: usize,
     /// The set index buffered in each slot; `None` while the slot is empty.
     sets: Vec<Option<u32>>,
-    /// Buffered tags, `ways` per slot; `None` = invalid way.
-    tags: Vec<Option<u32>>,
     lru: LruOrder,
     lookups: u64,
     way_hits: u64,
 }
 
 impl SetBuffer {
-    /// Creates a buffer tracking up to `entries` sets of a cache shaped by
-    /// `geom`.
+    /// Creates a buffer tracking up to `entries` sets.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero.
+    /// Panics if `entries` is zero or exceeds 255.
     #[must_use]
-    pub fn new(geom: Geometry, entries: usize) -> Self {
+    pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "set buffer needs at least one entry");
-        let ways = geom.ways() as usize;
         Self {
-            geom,
-            ways,
             sets: vec![None; entries],
-            tags: vec![None; entries * ways],
             lru: LruOrder::new(entries),
             lookups: 0,
             way_hits: 0,
         }
     }
 
-    /// Probes the buffer for `addr`'s set and tag.
-    pub fn lookup(&mut self, addr: u32) -> SetBufferLookup {
+    /// Probes the buffer with an access to set `index` that `hit` (or
+    /// missed) in the cache, and buffers the set, replacing the LRU slot if
+    /// it was not buffered. Returns whether the buffer knew the way.
+    pub fn access(&mut self, index: u32, hit: bool) -> bool {
         self.lookups += 1;
-        let index = self.geom.index_of(addr);
-        let tag = self.geom.tag_of(addr);
-        let Some(slot) = self.slot_of(index) else {
-            return SetBufferLookup::SetMiss;
-        };
-        self.lru.touch(slot);
-        match self.slot_tags(slot).iter().position(|t| *t == Some(tag)) {
-            Some(way) => {
-                self.way_hits += 1;
-                SetBufferLookup::WayKnown(way as u32)
-            }
-            None => SetBufferLookup::SetKnownTagMiss,
-        }
-    }
-
-    /// Installs (or refreshes) the buffered copy of set `index` with the
-    /// cache's current per-way tags, in way order, replacing the LRU slot
-    /// if the set was not buffered.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `tags` yields exactly one entry per cache way.
-    pub fn refill(&mut self, index: u32, tags: impl IntoIterator<Item = Option<u32>>) {
-        let slot = self.slot_of(index).unwrap_or_else(|| self.lru.victim());
-        let mut tags = tags.into_iter();
-        for dst in &mut self.tags[slot * self.ways..(slot + 1) * self.ways] {
-            *dst = tags.next().expect("one tag per cache way");
-        }
-        assert!(tags.next().is_none(), "one tag per cache way");
+        let buffered = self.sets.iter().position(|s| *s == Some(index));
+        let slot = buffered.unwrap_or_else(|| self.lru.victim());
         self.sets[slot] = Some(index);
         self.lru.touch(slot);
-    }
-
-    /// Updates the buffered tag of (`index`, `way`) if that set is buffered.
-    /// Called after a cache fill so the buffer tracks replacements.
-    pub fn update_way(&mut self, index: u32, way: u32, tag: Option<u32>) {
-        if let Some(slot) = self.slot_of(index) {
-            self.tags[slot * self.ways + way as usize] = tag;
-        }
-    }
-
-    /// Drops every buffered set.
-    pub fn clear(&mut self) {
-        self.sets.fill(None);
+        let known = buffered.is_some() && hit;
+        self.way_hits += u64::from(known);
+        known
     }
 
     /// Probes performed.
@@ -129,24 +75,10 @@ impl SetBuffer {
         self.lookups
     }
 
-    /// Probes resolved with [`SetBufferLookup::WayKnown`].
+    /// Probes that knew the way.
     #[must_use]
     pub fn way_hits(&self) -> u64 {
         self.way_hits
-    }
-
-    /// Number of set slots.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.sets.len()
-    }
-
-    fn slot_of(&self, index: u32) -> Option<usize> {
-        self.sets.iter().position(|s| *s == Some(index))
-    }
-
-    fn slot_tags(&self, slot: usize) -> &[Option<u32>] {
-        &self.tags[slot * self.ways..(slot + 1) * self.ways]
     }
 }
 
@@ -154,69 +86,32 @@ impl SetBuffer {
 mod tests {
     use super::*;
 
-    fn setup() -> (Geometry, SetBuffer) {
-        let g = Geometry::new(16, 2, 16).unwrap();
-        (g, SetBuffer::new(g, 2))
-    }
-
     #[test]
     fn miss_then_refill_then_way_hit() {
-        let (g, mut sb) = setup();
-        let addr = 0x1230;
-        assert_eq!(sb.lookup(addr), SetBufferLookup::SetMiss);
-        sb.refill(g.index_of(addr), [None, Some(g.tag_of(addr))]);
-        assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(1));
+        let mut sb = SetBuffer::new(2);
+        assert!(!sb.access(3, false), "a cold set is not buffered");
+        assert!(sb.access(3, true), "the refilled set resolves a hit");
         assert_eq!(sb.way_hits(), 1);
     }
 
     #[test]
     fn same_set_different_tag_is_tag_miss() {
-        let (g, mut sb) = setup();
-        let a = 0x0030; // set from bits [7:4]
-        let b = a + g.sets() * g.line_bytes(); // same index, different tag
-        assert_eq!(g.index_of(a), g.index_of(b));
-        sb.refill(g.index_of(a), [Some(g.tag_of(a)), None]);
-        assert_eq!(sb.lookup(b), SetBufferLookup::SetKnownTagMiss);
+        let mut sb = SetBuffer::new(2);
+        sb.access(3, false);
+        // The set is buffered, but this line is not resident: a full
+        // lookup, and the set stays buffered.
+        assert!(!sb.access(3, false));
+        assert!(sb.access(3, true));
     }
 
     #[test]
     fn lru_replacement_of_sets() {
-        let (g, mut sb) = setup();
-        sb.refill(0, [Some(1), None]);
-        sb.refill(1, [Some(1), None]);
-        let _ = sb.lookup(g.line_addr(1, 0)); // touch set 0
-        sb.refill(2, [Some(1), None]); // evicts set 1
-        assert_eq!(sb.lookup(g.line_addr(1, 1)), SetBufferLookup::SetMiss);
-        assert_eq!(
-            sb.lookup(g.line_addr(1, 0)),
-            SetBufferLookup::WayKnown(0)
-        );
-    }
-
-    #[test]
-    fn update_way_tracks_cache_fill() {
-        let (g, mut sb) = setup();
-        sb.refill(3, [Some(7), Some(8)]);
-        sb.update_way(3, 0, Some(9));
-        let addr = g.line_addr(9, 3);
-        assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(0));
-        // Unbuffered set updates are ignored silently.
-        sb.update_way(5, 0, Some(1));
-        assert_eq!(sb.lookup(g.line_addr(1, 5)), SetBufferLookup::SetMiss);
-    }
-
-    #[test]
-    #[should_panic(expected = "one tag per cache way")]
-    fn refill_needs_one_tag_per_way() {
-        let (_, mut sb) = setup();
-        sb.refill(0, [Some(1), None, None]);
-    }
-
-    #[test]
-    fn clear_empties_buffer() {
-        let (_, mut sb) = setup();
-        sb.refill(0, [Some(1), None]);
-        sb.clear();
-        assert_eq!(sb.lookup(0), SetBufferLookup::SetMiss);
+        let mut sb = SetBuffer::new(2);
+        sb.access(0, false);
+        sb.access(1, false);
+        sb.access(0, true); // touch set 0
+        sb.access(2, false); // evicts set 1
+        assert!(!sb.access(1, true), "set 1 was replaced");
+        assert!(sb.access(2, true));
     }
 }

@@ -40,7 +40,8 @@ impl Reference {
     fn access(&mut self, addr: u32, kind: AccessKind) -> AccessOutcome {
         let (index, tag) = (self.geom.index_of(addr), self.geom.tag_of(addr));
         let set = &mut self.sets[index as usize];
-        let (hit, mut line, evicted) = match set.iter().position(|l| l.0 == tag) {
+        let found = set.iter().position(|l| l.0 == tag);
+        let (hit, mut line, evicted) = match found {
             Some(pos) => (true, set.remove(pos), None),
             None => {
                 self.fills += 1;
@@ -63,6 +64,7 @@ impl Reference {
         set.insert(0, line);
         AccessOutcome {
             hit,
+            mru_hit: found == Some(0),
             way: line.2,
             index,
             evicted,
@@ -77,7 +79,8 @@ fn addresses() -> impl Strategy<Value = u32> {
 
 proptest! {
     /// The flat tag-only cache agrees with the naive reference on every
-    /// access outcome (hit, way, set, evicted line and its dirty bit) and
+    /// access outcome (hit, MRU hit, way, set, evicted line and its dirty
+    /// bit) and
     /// on the fill and write-back counts, for any load/store stream.
     #[test]
     fn cache_matches_naive_reference(

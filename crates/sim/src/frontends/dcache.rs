@@ -1,12 +1,11 @@
 //! D-cache front-ends (paper Figures 4–5 plus ablations).
 
-use waymem_cache::{
-    AccessKind, AccessOutcome, AccessStats, Geometry, LineBuffer, SetAssocCache, SetBuffer,
-    SetBufferLookup,
-};
+use waymem_cache::{AccessKind, AccessOutcome, AccessStats, Geometry, LineBuffer, SetBuffer};
 use waymem_core::{Mab, MabConfig, MabLookup, MabStats};
 use waymem_hwmodel::{EnergyCounts, MabShape};
 use waymem_isa::{FetchKind, TraceEvent, TraceSink};
+
+use super::{group_of_one, Account, Group, Side};
 
 /// A D-cache lookup scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +107,11 @@ impl DScheme {
     /// Panics if a MAB scheme's entry counts are invalid (zero or > 255).
     #[must_use]
     pub fn build(self, geom: Geometry) -> DFront {
+        DFront(Group::new(geom, vec![self.account(geom)]))
+    }
+
+    /// The scheme's accounting for a cache shaped by `geom`.
+    pub(crate) fn account(self, geom: Geometry) -> DAccount {
         let mab = match self {
             DScheme::WayMemo {
                 tag_entries,
@@ -126,10 +130,6 @@ impl DScheme {
             )),
             _ => None,
         };
-        let set_buffer = match self {
-            DScheme::SetBuffer { entries } => Some(SetBuffer::new(geom, entries)),
-            _ => None,
-        };
         let line_buffer = match self {
             DScheme::WayMemoLineBuffer { line_entries, .. } => {
                 Some(LineBuffer::new(geom, line_entries))
@@ -137,30 +137,70 @@ impl DScheme {
             DScheme::FilterCache { lines } => Some(LineBuffer::new(geom, lines)),
             _ => None,
         };
-        DFront {
+        DAccount {
             scheme: self,
             geom,
-            cache: SetAssocCache::new(geom),
             stats: AccessStats::new(),
             mab,
-            set_buffer,
+            set_buffer: match self {
+                DScheme::SetBuffer { entries } => Some(SetBuffer::new(entries)),
+                _ => None,
+            },
             line_buffer,
             extra_cycles: 0,
         }
     }
 }
 
-/// A trace-driven D-cache model under one scheme.
-///
-/// The front-end owns a private tag-only cache: it tracks residency, LRU
-/// and dirty state driven purely by the address stream (the CPU's
-/// architectural data lives elsewhere), which is exactly what the energy
-/// accounting needs.
+/// One load or store, as the D schemes read it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DAccess {
+    is_store: bool,
+    base: u32,
+    disp: i32,
+    addr: u32,
+}
+
+/// The D side's shared state: none beyond the group's counts. Loads and
+/// stores access the cache; fetches do not.
 #[derive(Debug)]
-pub struct DFront {
+pub(crate) struct DSide;
+
+impl Side for DSide {
+    type Account = DAccount;
+
+    fn new(_geom: Geometry) -> Self {
+        DSide
+    }
+
+    fn admit(&mut self, event: TraceEvent) -> Option<(DAccess, u32, AccessKind)> {
+        let (kind, base, disp, addr) = match event {
+            TraceEvent::Load {
+                base, disp, addr, ..
+            } => (AccessKind::Load, base, disp, addr),
+            TraceEvent::Store {
+                base, disp, addr, ..
+            } => (AccessKind::Store, base, disp, addr),
+            TraceEvent::Fetch { .. } => return None,
+        };
+        let is_store = kind == AccessKind::Store;
+        let access = DAccess {
+            is_store,
+            base,
+            disp,
+            addr,
+        };
+        Some((access, addr, kind))
+    }
+}
+
+/// One D-scheme's accounting: the tag and way activations of its lookups
+/// and the auxiliary structures (MAB, set buffer, line buffer / L0) that
+/// decide them, over the outcomes of a shared cache.
+#[derive(Debug)]
+pub(crate) struct DAccount {
     scheme: DScheme,
     geom: Geometry,
-    cache: SetAssocCache,
     stats: AccessStats,
     mab: Option<Mab>,
     set_buffer: Option<SetBuffer>,
@@ -168,149 +208,121 @@ pub struct DFront {
     extra_cycles: u64,
 }
 
-impl DFront {
-    /// The scheme this front-end models.
-    #[must_use]
-    pub fn scheme(&self) -> DScheme {
-        self.scheme
-    }
-
-    /// Conventional lookup accounting + architectural access.
-    fn conventional(&mut self, is_store: bool, addr: u32) -> AccessOutcome {
-        self.charge_conventional(is_store);
-        self.finish(is_store, addr)
-    }
-
+impl DAccount {
     /// The array activations of a conventional lookup: every tag, and
     /// every data way for a load (one for a store, via the write-back
     /// buffer).
-    fn charge_conventional(&mut self, is_store: bool) {
+    fn conventional(&mut self, is_store: bool) {
         let w = u64::from(self.geom.ways());
         self.stats.tag_reads += w;
         self.stats.way_reads += if is_store { 1 } else { w };
     }
 
-    /// Architectural access with hit/miss/fill accounting (no lookup cost).
-    fn finish(&mut self, is_store: bool, addr: u32) -> AccessOutcome {
-        let kind = if is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let out = self.cache.access(addr, kind);
-        if out.hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            self.stats.way_reads += 1; // line-fill write
-            if out.evicted.is_some_and(|e| e.dirty) {
-                self.stats.write_backs += 1;
-            }
-            // Any structure memoizing the victim's location is now stale.
-            // The PaperLru variant deliberately skips this to measure the
-            // paper's claim that LRU ordering makes it unnecessary.
-            let precise = !matches!(self.scheme, DScheme::WayMemoPaperLru { .. });
-            if precise {
-                if let Some(mab) = self.mab.as_mut() {
-                    mab.invalidate_location(out.index, out.way);
-                }
-            }
-            if let Some(ev) = out.evicted {
-                if let Some(lb) = self.line_buffer.as_mut() {
-                    lb.invalidate_line(self.geom.line_addr(ev.tag, ev.index));
-                }
-            }
-        }
-        out
-    }
-
-    /// A known-way access (MAB / buffer hit): one way, no tags. The
-    /// access's own outcome checks the way; a disagreement is counted in
-    /// [`AccessStats::wrong_way`].
-    fn known_way(&mut self, is_store: bool, addr: u32, way: u32) -> AccessOutcome {
-        self.stats.way_reads += 1;
-        let out = self.finish(is_store, addr);
-        self.check_way(&out, way);
-        out
-    }
-
-    /// Counts an access whose known `way` disagreed with the cache.
+    /// Counts a memoized `way` that is not where the access found the
+    /// line.
     fn check_way(&mut self, out: &AccessOutcome, way: u32) {
         self.stats.wrong_way += u64::from(!out.hit || out.way != way);
     }
 
-    /// Feeds one load/store into the model.
-    pub fn access(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
-        self.stats.accesses += 1;
+    /// A load served by the line buffer / L0: buffer energy only.
+    fn buffered(&mut self, out: &AccessOutcome, way: u32) {
+        self.stats.buffer_hits += 1;
+        self.check_way(out, way);
+    }
+
+    /// A MAB-fronted access. A hit costs one way and no tags; the paper-LRU
+    /// variant treats a hit on a stale location as unsound and recovers
+    /// with a conventional lookup.
+    fn way_memo(&mut self, a: &DAccess, out: &AccessOutcome) {
+        let precise = !matches!(self.scheme, DScheme::WayMemoPaperLru { .. });
+        let mab = self.mab.as_mut().expect("scheme has MAB");
+        let lookup = mab.lookup(a.base, a.disp);
+        match lookup {
+            MabLookup::Hit { way, .. } if precise || (out.hit && out.way == way) => {
+                self.stats.way_reads += 1;
+                self.check_way(out, way);
+            }
+            MabLookup::Hit { .. } | MabLookup::Miss { .. } => {
+                // A paper-LRU hit here is where the §3.3 LRU argument
+                // failed: in hardware it would have returned wrong data.
+                self.stats.unsound_hits += u64::from(lookup.is_hit());
+                mab.record(a.base, a.disp, out.way);
+                self.conventional(a.is_store);
+            }
+            MabLookup::Wide => self.conventional(a.is_store),
+        }
+    }
+}
+
+impl Account for DAccount {
+    type Access = DAccess;
+
+    fn account(&mut self, a: &DAccess, out: &AccessOutcome) {
+        if !out.hit {
+            // Any structure memoizing the victim's location is now stale.
+            // The paper-LRU variant deliberately leaves its MAB alone to
+            // measure the paper's claim that LRU ordering makes this
+            // unnecessary.
+            if let Some(mab) = self.mab.as_mut() {
+                if !matches!(self.scheme, DScheme::WayMemoPaperLru { .. }) {
+                    mab.invalidate_location(out.index, out.way);
+                }
+            }
+            if let (Some(lb), Some(ev)) = (self.line_buffer.as_mut(), out.evicted) {
+                lb.invalidate_line(self.geom.line_addr(ev.tag, ev.index));
+            }
+        }
         match self.scheme {
-            DScheme::Original => {
-                self.conventional(is_store, addr);
-            }
-            DScheme::SetBuffer { .. } => self.access_set_buffer(is_store, addr),
-            DScheme::WayMemo { .. } => {
-                self.access_way_memo(is_store, base, disp, addr);
-            }
-            DScheme::WayMemoPaperLru { .. } => {
-                self.access_way_memo_unchecked(is_store, base, disp, addr);
-            }
-            DScheme::FilterCache { .. } => {
-                if is_store {
-                    // Write-through past the L0; keep the L0 coherent.
-                    self.conventional(true, addr);
-                    self.line_buffer
-                        .as_mut()
-                        .expect("scheme has L0")
-                        .invalidate_line(addr);
-                    return;
-                }
-                let l0 = self.line_buffer.as_mut().expect("scheme has L0");
-                if let Some(way) = l0.lookup(addr) {
-                    // Served entirely from the L0: buffer energy only.
-                    // (L0 ⊆ L1 is maintained by eviction invalidation.)
+            DScheme::Original => self.conventional(a.is_store),
+            DScheme::SetBuffer { .. } => {
+                let sb = self.set_buffer.as_mut().expect("scheme has set buffer");
+                if sb.access(out.index, out.hit) {
+                    // The buffered tags name the way: no tag array.
                     self.stats.buffer_hits += 1;
-                    self.stats.hits += 1;
-                    let out = self.cache.access(addr, AccessKind::Load);
-                    self.check_way(&out, way);
-                    return;
+                    self.stats.way_reads += 1;
+                } else {
+                    self.conventional(a.is_store);
                 }
-                // L0 miss: the extra cycle the paper's §2 criticizes.
-                self.extra_cycles += 1;
-                let out = self.conventional(false, addr);
-                self.line_buffer
-                    .as_mut()
-                    .expect("scheme has L0")
-                    .record(addr, out.way);
+            }
+            DScheme::WayMemo { .. } | DScheme::WayMemoPaperLru { .. } => self.way_memo(a, out),
+            DScheme::FilterCache { .. } => {
+                let l0 = self.line_buffer.as_mut().expect("scheme has L0");
+                if a.is_store {
+                    // Write-through past the L0; keep the L0 coherent.
+                    l0.invalidate_line(a.addr);
+                    self.conventional(true);
+                } else if let Some(way) = l0.lookup(a.addr) {
+                    // Served entirely from the L0 (L0 ⊆ L1 is kept by
+                    // eviction invalidation).
+                    self.buffered(out, way);
+                } else {
+                    // L0 miss: the extra cycle the paper's §2 criticizes.
+                    l0.record(a.addr, out.way);
+                    self.extra_cycles += 1;
+                    self.conventional(false);
+                }
             }
             DScheme::WayMemoLineBuffer { .. } => {
-                if !is_store {
-                    let lb = self.line_buffer.as_mut().expect("scheme has line buffer");
-                    if let Some(way) = lb.lookup(addr) {
-                        // Served from the line buffer: no array activation.
-                        self.stats.buffer_hits += 1;
-                        self.stats.hits += 1;
-                        let out = self.cache.access(addr, AccessKind::Load);
-                        self.check_way(&out, way);
-                        return;
+                let lb = self.line_buffer.as_mut().expect("scheme has line buffer");
+                match (!a.is_store).then(|| lb.lookup(a.addr)).flatten() {
+                    // Served from the line buffer: no array activation.
+                    Some(way) => self.buffered(out, way),
+                    None => {
+                        // Memoize the line for subsequent loads.
+                        lb.record(a.addr, out.way);
+                        self.way_memo(a, out);
                     }
                 }
-                let out = self.access_way_memo(is_store, base, disp, addr);
-                // Memoize the line for subsequent loads.
-                self.line_buffer
-                    .as_mut()
-                    .expect("scheme has line buffer")
-                    .record(addr, out.way);
             }
             DScheme::WayPredict => {
-                let predicted = self.cache.mru_way(self.geom.index_of(addr));
                 self.stats.tag_reads += 1;
                 self.stats.way_reads += 1;
-                let out = self.finish(is_store, addr);
-                if !out.hit || out.way != predicted {
+                if !out.mru_hit {
                     // Misprediction: re-access the remaining ways, one
                     // cycle later.
                     let w = u64::from(self.geom.ways());
                     self.stats.tag_reads += w - 1;
-                    self.stats.way_reads += if is_store { 0 } else { w - 1 };
+                    self.stats.way_reads += if a.is_store { 0 } else { w - 1 };
                     self.extra_cycles += 1;
                 }
             }
@@ -320,191 +332,69 @@ impl DFront {
                 self.stats.tag_reads += u64::from(self.geom.ways());
                 self.stats.way_reads += 1;
                 self.extra_cycles += 1;
-                self.finish(is_store, addr);
             }
         }
     }
 
-    fn access_set_buffer(&mut self, is_store: bool, addr: u32) {
-        let sb = self.set_buffer.as_mut().expect("scheme has set buffer");
-        match sb.lookup(addr) {
-            SetBufferLookup::WayKnown(way) => {
-                self.stats.buffer_hits += 1;
-                self.known_way(is_store, addr, way);
-            }
-            SetBufferLookup::SetKnownTagMiss | SetBufferLookup::SetMiss => {
-                let out = self.conventional(is_store, addr);
-                // Refresh the buffered copy of this set's tags.
-                self.set_buffer
-                    .as_mut()
-                    .expect("scheme has set buffer")
-                    .refill(out.index, self.cache.set_tags(out.index));
-            }
-        }
+    fn name(&self) -> String {
+        self.scheme.name()
     }
 
-    /// The MAB without invalidation: hits are audited against residency.
-    /// A hit on a stale location is counted as unsound (in hardware it
-    /// would have returned wrong data) and recovered conventionally.
-    fn access_way_memo_unchecked(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
-        let mab = self.mab.as_mut().expect("scheme has MAB");
-        match mab.lookup(base, disp) {
-            MabLookup::Hit { way, .. } => {
-                let out = self.finish(is_store, addr);
-                if out.hit && out.way == way {
-                    self.stats.way_reads += 1;
-                } else {
-                    // The §3.3 LRU argument failed here.
-                    self.stats.unsound_hits += 1;
-                    self.charge_conventional(is_store);
-                    self.mab
-                        .as_mut()
-                        .expect("scheme has MAB")
-                        .record(base, disp, out.way);
-                }
-            }
-            MabLookup::Miss { .. } => {
-                let out = self.conventional(is_store, addr);
-                self.mab
-                    .as_mut()
-                    .expect("scheme has MAB")
-                    .record(base, disp, out.way);
-            }
-            MabLookup::Wide => {
-                self.conventional(is_store, addr);
-            }
-        }
+    fn stats(&self) -> AccessStats {
+        self.stats
     }
 
-    fn access_way_memo(
-        &mut self,
-        is_store: bool,
-        base: u32,
-        disp: i32,
-        addr: u32,
-    ) -> AccessOutcome {
-        let mab = self.mab.as_mut().expect("scheme has MAB");
-        match mab.lookup(base, disp) {
-            MabLookup::Hit { way, .. } => self.known_way(is_store, addr, way),
-            MabLookup::Miss { .. } => {
-                let out = self.conventional(is_store, addr);
-                self.mab
-                    .as_mut()
-                    .expect("scheme has MAB")
-                    .record(base, disp, out.way);
-                out
-            }
-            MabLookup::Wide => self.conventional(is_store, addr),
-        }
+    fn mab(&self) -> Option<&Mab> {
+        self.mab.as_ref()
     }
 
-    /// Replays a recorded trace slice into the model: loads and stores are
-    /// consumed in program order, fetch events are skipped. The loop is
-    /// monomorphic for this front-end, so a replay pays no per-event
-    /// virtual dispatch — this is the hot path of the record-once /
-    /// replay-in-parallel engine behind [`crate::Experiment`].
-    pub fn replay(&mut self, events: &[TraceEvent]) {
-        for &e in events {
-            match e {
-                TraceEvent::Load {
-                    base, disp, addr, ..
-                } => self.access(false, base, disp, addr),
-                TraceEvent::Store {
-                    base, disp, addr, ..
-                } => self.access(true, base, disp, addr),
-                TraceEvent::Fetch { .. } => {}
-            }
-        }
-    }
-
-    /// Accounting so far. For MAB schemes the `mab_*` counters reflect the
-    /// MAB's own statistics.
-    #[must_use]
-    pub fn stats(&self) -> AccessStats {
-        let mut s = self.stats;
-        if let Some(mab) = self.mab.as_ref() {
-            s.mab_lookups = mab.stats().lookups + mab.stats().wide_bypasses;
-            s.mab_hits = mab.stats().hits;
-        }
-        if let Some(sb) = self.set_buffer.as_ref() {
-            s.buffer_hits = sb.way_hits();
-        }
-        s
-    }
-
-    /// Raw MAB statistics (MAB schemes only).
-    #[must_use]
-    pub fn mab_stats(&self) -> Option<MabStats> {
-        self.mab.as_ref().map(Mab::stats)
-    }
-
-    /// The MAB's hardware shape for area/power models (MAB schemes only).
-    #[must_use]
-    pub fn mab_shape(&self) -> Option<MabShape> {
-        self.mab.as_ref().map(|m| {
-            let cfg = m.config();
-            MabShape {
-                tag_entries: cfg.tag_entries() as u32,
-                set_entries: cfg.set_entries() as u32,
-                tag_entry_bits: cfg.tag_entry_bits(),
-                set_entry_bits: cfg.set_entry_bits(),
-                pair_bits: cfg.pair_bits(),
-                adder_bits: cfg.geometry().low_bits(),
-            }
-        })
-    }
-
-    /// Cycles added by schemes with lookup penalties (way prediction,
-    /// two-phase); zero for the others — the paper's "no performance
-    /// penalty" claim is that this is zero for way memoization.
-    #[must_use]
-    pub fn extra_cycles(&self) -> u64 {
+    fn extra_cycles(&self) -> u64 {
         self.extra_cycles
     }
 
-    /// Converts the counters into hwmodel inputs. `cycles` is the run's
-    /// instruction count (CPI 1).
-    #[must_use]
-    pub fn energy_counts(&self, cycles: u64) -> EnergyCounts {
-        let buffer_probes = self.set_buffer.as_ref().map_or(0, SetBuffer::lookups)
-            + self.line_buffer.as_ref().map_or(0, LineBuffer::lookups);
+    fn energy_counts(&self, stats: &AccessStats, cycles: u64) -> EnergyCounts {
         EnergyCounts {
-            way_reads: self.stats.way_reads,
-            tag_reads: self.stats.tag_reads,
-            buffer_probes,
+            way_reads: stats.way_reads,
+            tag_reads: stats.tag_reads,
+            buffer_probes: self.set_buffer.as_ref().map_or(0, SetBuffer::lookups)
+                + self.line_buffer.as_ref().map_or(0, LineBuffer::lookups),
             mab_lookups: if self.mab.is_some() {
-                self.stats.accesses
+                stats.accesses
             } else {
                 0
             },
             cycles,
         }
     }
-
-    /// The modelled cache (tests inspect residency).
-    #[must_use]
-    pub fn cache(&self) -> &SetAssocCache {
-        &self.cache
-    }
 }
 
-/// A D-front is itself a [`TraceSink`]: loads/stores feed the model,
-/// fetches are ignored, and the batched [`TraceSink::events`] entry point
-/// dispatches to the monomorphic [`DFront::replay`] loop — the path the
-/// record/replay engine drives.
-impl TraceSink for DFront {
-    fn fetch(&mut self, _pc: u32, _kind: FetchKind) {}
+/// A trace-driven D-cache model under one scheme: a group of one, so
+/// it owns a private tag-only cache that tracks residency, LRU and dirty
+/// state driven purely by the address stream (the CPU's architectural
+/// data lives elsewhere), which is exactly what the energy accounting
+/// needs.
+#[derive(Debug)]
+pub struct DFront(Group<DSide>);
 
-    fn load(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
-        self.access(false, base, disp, addr);
+group_of_one!(DFront, DScheme);
+
+impl DFront {
+    /// Feeds one load/store into the model.
+    pub fn access(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
+        if is_store {
+            self.0.store(base, disp, addr, 4);
+        } else {
+            self.0.load(base, disp, addr, 4);
+        }
     }
 
-    fn store(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
-        self.access(true, base, disp, addr);
-    }
-
-    fn events(&mut self, batch: &[TraceEvent]) {
-        self.replay(batch);
+    /// Cycles added by schemes with lookup penalties (way prediction,
+    /// two-phase, the L0); zero for the others — the paper's "no
+    /// performance penalty" claim is that this is zero for way
+    /// memoization.
+    #[must_use]
+    pub fn extra_cycles(&self) -> u64 {
+        self.0.accounts()[0].extra_cycles()
     }
 }
 
@@ -514,6 +404,11 @@ mod tests {
 
     fn geom() -> Geometry {
         Geometry::frv()
+    }
+
+    /// The MAB of a MAB scheme's front-end.
+    fn mab(f: &mut DFront) -> &mut Mab {
+        f.0.accounts[0].mab.as_mut().expect("MAB scheme")
     }
 
     #[test]
@@ -591,8 +486,8 @@ mod tests {
     fn wrong_way_counts_a_lying_mab_in_release_builds() {
         let mut f = DScheme::paper_way_memo().build(geom());
         f.access(false, 0x3000, 0, 0x3000); // miss, MAB memoizes way 0
-        // Corrupt the memoized way behind the front-end's back.
-        f.mab.as_mut().expect("MAB scheme").record(0x3000, 0, 1);
+                                            // Corrupt the memoized way behind the front-end's back.
+        mab(&mut f).record(0x3000, 0, 1);
         f.access(false, 0x3000, 4, 0x3004); // MAB hit on the wrong way
         let s = f.stats();
         assert_eq!((s.mab_hits, s.wrong_way), (1, 1));
@@ -614,10 +509,10 @@ mod tests {
             let disp = ((x & 0xff) as i32) - 128;
             let addr = base.wrapping_add(disp as u32);
             f.access(i % 3 == 0, base, disp, addr);
-            if let Some(mab) = f.mab.as_ref() {
+            if let Some(mab) = f.0.accounts[0].mab.as_ref() {
                 for (set, way, tag) in mab.claims() {
                     assert_eq!(
-                        f.cache.resident_way(tag, set),
+                        f.0.cache.resident_way(tag, set),
                         Some(way),
                         "stale MAB claim at iteration {i}"
                     );
@@ -728,8 +623,7 @@ mod tests {
     /// The counterexample to the paper's §3.3 consistency argument: MAB
     /// row recency is global while cache LRU is per set, so a row kept
     /// alive by an access to a *different* set can outlive its line.
-    fn paper_lru_counterexample(f: &mut DFront) {
-        let g = f.cache().geometry();
+    fn paper_lru_counterexample(f: &mut DFront, g: Geometry) {
         let low = g.low_bits();
         let a = |tag: u32, set: u32| (tag << low) | (set << g.offset_bits());
         f.access(false, a(1, 0), 0, a(1, 0)); // T1 -> set0 way0
@@ -747,7 +641,7 @@ mod tests {
             set_entries: 4,
         }
         .build(g);
-        paper_lru_counterexample(&mut f);
+        paper_lru_counterexample(&mut f, g);
         assert_eq!(
             f.stats().unsound_hits,
             1,
@@ -763,7 +657,7 @@ mod tests {
             set_entries: 4,
         }
         .build(g);
-        paper_lru_counterexample(&mut f); // known-way accesses audited
+        paper_lru_counterexample(&mut f, g); // known-way accesses audited
         assert_eq!(f.stats().unsound_hits, 0);
         assert_eq!(f.stats().wrong_way, 0);
         assert!(f.stats().is_consistent());
@@ -792,8 +686,7 @@ mod tests {
             DScheme::WayPredict,
             DScheme::TwoPhase,
         ];
-        let names: std::collections::HashSet<_> =
-            schemes.iter().map(|s| s.name()).collect();
+        let names: std::collections::HashSet<_> = schemes.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), schemes.len());
     }
 }

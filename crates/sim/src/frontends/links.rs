@@ -24,7 +24,6 @@ pub struct LinkTable {
     geom: Geometry,
     seq: Vec<Option<Link>>,
     branch: Vec<Option<Link>>,
-    invalidated: u64,
 }
 
 impl LinkTable {
@@ -36,7 +35,6 @@ impl LinkTable {
             geom,
             seq: vec![None; n],
             branch: vec![None; n],
-            invalidated: 0,
         }
     }
 
@@ -87,22 +85,11 @@ impl LinkTable {
         self.seq[loc] = None;
         self.branch[loc] = None;
         let geom = self.geom;
-        let mut cleared = 0u64;
         for link in self.seq.iter_mut().chain(self.branch.iter_mut()) {
-            if let Some(l) = link {
-                if geom.index_of(l.target_base) == set && l.way == way {
-                    *link = None;
-                    cleared += 1;
-                }
+            if link.is_some_and(|l| geom.index_of(l.target_base) == set && l.way == way) {
+                *link = None;
             }
         }
-        self.invalidated += cleared;
-    }
-
-    /// Links cleared by replacement-time invalidation so far.
-    #[must_use]
-    pub fn invalidated(&self) -> u64 {
-        self.invalidated
     }
 }
 
@@ -115,7 +102,6 @@ pub struct Btb {
     entries: Vec<Option<BtbEntry>>,
     lru: waymem_cache::LruOrder,
     probes: u64,
-    hits: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +124,6 @@ impl Btb {
             entries: vec![None; entries],
             lru: waymem_cache::LruOrder::new(entries),
             probes: 0,
-            hits: 0,
         }
     }
 
@@ -146,11 +131,10 @@ impl Btb {
     /// returns the memoized way on a full match and refreshes recency.
     pub fn probe(&mut self, source: u32, target_base: u32) -> Option<u32> {
         self.probes += 1;
-        let slot = self.entries.iter().position(|e| {
-            matches!(e, Some(en) if en.source == source && en.target_base == target_base)
-        })?;
+        let slot = self.entries.iter().position(
+            |e| matches!(e, Some(en) if en.source == source && en.target_base == target_base),
+        )?;
         self.lru.touch(slot);
-        self.hits += 1;
         self.entries[slot].map(|e| e.way)
     }
 
@@ -187,12 +171,6 @@ impl Btb {
     pub fn probes(&self) -> u64 {
         self.probes
     }
-
-    /// Probes that matched.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +192,6 @@ mod tests {
         b.invalidate_target(g.index_of(0x200), 1);
         assert_eq!(b.probe(0x100, 0x200), None);
         assert_eq!(b.probes(), 4);
-        assert_eq!(b.hits(), 1);
     }
 
     #[test]
@@ -266,7 +243,6 @@ mod tests {
         assert_eq!(t.seq_way(1, 0, target_base), None);
         assert_eq!(t.branch_way(7, 1, target_base), None);
         assert_eq!(t.seq_way(2, 1, 0x80), None, "own links die too");
-        assert_eq!(t.invalidated(), 2);
     }
 
     #[test]

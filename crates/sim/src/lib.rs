@@ -2,10 +2,10 @@
 //!
 //! This crate wires everything together: the frv-lite CPU
 //! ([`waymem_isa`]) emits fetch and load/store events; a set of **cache
-//! front-ends** — one per lookup scheme — consume the same event stream in
-//! parallel and account how many tag arrays and data ways each scheme
-//! activates; [`waymem_hwmodel`] then turns the counts into the power
-//! numbers of the paper's Figures 5, 7 and 8 via Eq. (1).
+//! front-ends** — one per lookup scheme — account how many tag arrays and
+//! data ways each scheme activates over the same event stream;
+//! [`waymem_hwmodel`] then turns the counts into the power numbers of the
+//! paper's Figures 5, 7 and 8 via Eq. (1).
 //!
 //! ## Schemes
 //!
@@ -50,17 +50,19 @@
 //! The engine records the CPU's event stream **once** into a
 //! [`RecordedTrace`] — two flat `Vec<TraceEvent>` streams, fetches split
 //! from loads/stores at capture time — and then replays the recorded
-//! slices through every requested front-end **concurrently** on
-//! [`std::thread::scope`] workers, at most one per hardware thread.
-//! Each worker owns its front-ends outright, so `DFront` and `IFront`
-//! are (and must remain) [`Send`]: they hold only owned cache, memory
-//! and buffer state, with no shared interior mutability — a compile-time
-//! assertion in `frontends/mod.rs` enforces this. The trace itself is
-//! shared immutably (`&[TraceEvent]`), front-ends never observe each
-//! other, and workers are joined in scheme order, so results are
-//! bit-identical to a serial run — `tests/experiment.rs` pins
-//! [`ExecPolicy::Serial`] ≡ [`ExecPolicy::Parallel`] down to the last
-//! `f64` bit.
+//! slices **concurrently** on [`std::thread::scope`] workers, at most one
+//! per hardware thread. Each worker owns one *group* of schemes: a single
+//! cache that the section goes through once, and each scheme's
+//! accounting, which reads every access's outcome and holds no cache (an
+//! outcome does not depend on the lookup scheme). A group owns its cache
+//! and buffer state outright, so it — and the group-of-one `DFront` and
+//! `IFront` — is (and must remain) [`Send`], with no shared interior
+//! mutability; a compile-time assertion in `frontends/mod.rs` enforces
+//! this. The trace itself is shared immutably (`&[TraceEvent]`), groups
+//! never observe each other, and workers are joined in scheme order, so
+//! results are bit-identical to a serial run — `tests/experiment.rs`
+//! pins [`ExecPolicy::Serial`] ≡ [`ExecPolicy::Parallel`] down to the
+//! last `f64` bit.
 //!
 //! ## Accounting rules (uniform across schemes)
 //!

@@ -7,17 +7,18 @@
 //! in-memory [`RecordedTrace`] (two flat `Vec<TraceEvent>` streams,
 //! fetches split from loads/stores at capture time) or an on-disk
 //! `.wmtr` file replayed in bounded batches. One replay function then
-//! feeds each section ([`TraceSource::feed`]) through a fresh front-end
-//! per scheme under an [`ExecPolicy`]: concurrently on
-//! [`std::thread::scope`] workers, or inline on the calling thread. Each
-//! front-end consumes its section through the batched
-//! [`TraceSink::events`] entry point, which dispatches to a monomorphic
-//! loop ([`DFront::replay`] / [`IFront::replay`]), so no per-event
-//! virtual dispatch survives on the hot path; power is composed via
-//! Eq. (1) once every worker joins. Every front-end sees the identical
-//! event stream, so every source and policy is bit-identical — including
-//! the per-event serial fanout that store-less serial kernel runs use to
-//! skip the trace entirely.
+//! chunks the schemes, makes each chunk a group — one cache and every
+//! chunk scheme's accounting — and feeds each group its section once
+//! ([`TraceSource::feed`]) under an [`ExecPolicy`]: concurrently on
+//! [`std::thread::scope`] workers, or inline on the calling thread. A
+//! group takes its section in batches: each batch goes through the cache
+//! once, then each scheme's accounting loop runs over the batch's
+//! outcomes, so a streamed section is decoded once per group and the
+//! cache is simulated once per group, not once per scheme. Power is
+//! composed via Eq. (1) once every worker joins. Every scheme's counts
+//! depend on the event stream alone, so every source and policy is
+//! bit-identical — including the per-event serial fanout that store-less
+//! serial kernel runs use to skip the trace entirely.
 //!
 //! The composable front door to all of this is
 //! [`Experiment`](crate::Experiment) / [`Suite`](crate::Suite)
@@ -28,14 +29,13 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 use waymem_obs::phase::{Phase, PhaseGuard};
 use waymem_obs::span::SpanGuard;
 
 use waymem_cache::{AccessStats, Geometry};
 use waymem_hwmodel::{
-    cache_energies, mab_power_mw, CacheShape, EnergyCounts, MabShape, PowerBreakdown,
+    cache_energies, mab_power_mw, CacheEnergies, CacheShape, EnergyCounts, PowerBreakdown,
     Technology,
 };
 use waymem_ingest::{parse_into, synth, LogFormat};
@@ -45,7 +45,8 @@ use waymem_trace::{
 };
 use waymem_workloads::Benchmark;
 
-use crate::{DFront, DScheme, ExecPolicy, IFront, IScheme, IngestMeta};
+use crate::frontends::{mab_shape, Account, DSide, Group, ISide, Side};
+use crate::{DScheme, ExecPolicy, IScheme, IngestMeta};
 
 /// Simulation configuration shared by all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -224,30 +225,24 @@ impl SimResult {
     }
 }
 
-/// The store-less serial kernel engine's sink: forwards each CPU event to
-/// every front-end as it happens (see [`run_kernel_fanout`]).
+/// The store-less serial kernel engine's sink: feeds each CPU event to
+/// the D group and the I group as it happens (see [`run_kernel_fanout`]).
 struct FanoutSink {
-    dfronts: Vec<DFront>,
-    ifronts: Vec<IFront>,
+    d: Group<DSide>,
+    i: Group<ISide>,
 }
 
 impl TraceSink for FanoutSink {
     fn fetch(&mut self, pc: u32, kind: FetchKind) {
-        for f in &mut self.ifronts {
-            f.fetch(pc, kind);
-        }
+        self.i.fetch(pc, kind);
     }
 
-    fn load(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
-        for f in &mut self.dfronts {
-            f.access(false, base, disp, addr);
-        }
+    fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+        self.d.load(base, disp, addr, size);
     }
 
-    fn store(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
-        for f in &mut self.dfronts {
-            f.access(true, base, disp, addr);
-        }
+    fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+        self.d.store(base, disp, addr, size);
     }
 }
 
@@ -265,7 +260,8 @@ pub enum TraceSource {
     /// workers.
     Materialized(Arc<RecordedTrace>),
     /// Replayed from an on-disk `.wmtr` file through a bounded window;
-    /// each front-end replays its section from its own file cursor.
+    /// each group of front-ends replays its section from its own file
+    /// cursor.
     Streaming(Arc<StreamingTrace>),
 }
 
@@ -554,15 +550,15 @@ pub fn record_trace(bench: Benchmark, cfg: &SimConfig) -> Result<RecordedTrace, 
     Ok(Producer::Kernel { bench, scale: cfg.scale }.record()?.0)
 }
 
-/// Composes the Eq. (1) result of every joined front-end. The cache's
-/// per-access energies depend only on geometry and technology, so they
-/// are computed once per run, not once per scheme.
+/// Composes the Eq. (1) result of every scheme of the joined groups. The
+/// cache's per-access energies depend only on geometry and technology, so
+/// they are computed once per run, not once per scheme.
 fn compose(
     workload: WorkloadId,
     cycles: u64,
     cfg: &SimConfig,
-    dfronts: &[DFront],
-    ifronts: &[IFront],
+    dgroups: &[Group<DSide>],
+    igroups: &[Group<ISide>],
 ) -> SimResult {
     let shape = CacheShape {
         sets: cfg.geometry.sets(),
@@ -571,84 +567,80 @@ fn compose(
         tag_bits: cfg.geometry.tag_bits(),
     };
     let energies = cache_energies(shape, cfg.technology);
-    let power = |energy: EnergyCounts, mab: Option<MabShape>| {
-        let mab = mab.map(|s| mab_power_mw(s, cfg.technology));
-        PowerBreakdown::from_counts(energy, energies, mab, cfg.technology)
-    };
     SimResult {
         workload,
         cycles,
-        dcache: dfronts
-            .iter()
-            .map(|f| {
-                let energy = f.energy_counts(cycles);
-                SchemeResult {
-                    name: f.scheme().name(),
-                    stats: f.stats(),
-                    energy,
-                    power: power(energy, f.mab_shape()),
-                    extra_cycles: f.extra_cycles(),
-                }
-            })
-            .collect(),
-        icache: ifronts
-            .iter()
-            .map(|f| {
-                let energy = f.energy_counts(cycles);
-                SchemeResult {
-                    name: f.scheme().name(),
-                    stats: f.stats(),
-                    energy,
-                    power: power(energy, f.mab_shape()),
-                    extra_cycles: 0,
-                }
-            })
-            .collect(),
+        dcache: results(dgroups, cycles, energies, cfg.technology),
+        icache: results(igroups, cycles, energies, cfg.technology),
     }
 }
 
-/// Elapsed nanoseconds since `started`, saturated to `u64::MAX`.
-fn elapsed_ns(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// Every scheme's result from `groups`, in scheme order.
+fn results<S: Side>(
+    groups: &[Group<S>],
+    cycles: u64,
+    energies: CacheEnergies,
+    technology: Technology,
+) -> Vec<SchemeResult> {
+    let scheme = |g: &Group<S>, i: usize| {
+        let account = &g.accounts()[i];
+        let stats = g.stats(i);
+        let energy = account.energy_counts(&stats, cycles);
+        let mab = account.mab().map(|m| mab_power_mw(mab_shape(m.config()), technology));
+        SchemeResult {
+            name: account.name(),
+            stats,
+            energy,
+            power: PowerBreakdown::from_counts(energy, energies, mab, technology),
+            extra_cycles: account.extra_cycles(),
+        }
+    };
+    groups.iter().flat_map(|g| (0..g.accounts().len()).map(move |i| scheme(g, i))).collect()
 }
 
-/// Builds one front-end and feeds it one section of `source`, publishing
-/// the per-front instruments: a `replay.front` span, the section's
-/// `replay.data_events` / `replay.fetch_events` counter (events
-/// delivered) and the `replay.front_ns` histogram (wall-clock per front).
-fn replay_front<F: TraceSink>(
+/// Feeds one section of `source` through a group of `accounts`,
+/// publishing the per-front instruments: a `replay.front` span for the
+/// group, the section's `replay.data_events` / `replay.fetch_events`
+/// counter (events delivered, once per front) and one `replay.front_ns`
+/// observation per front (its accounting time summed over batches).
+fn replay_group<S: Side>(
     source: &TraceSource,
     section: Section,
-    scheme: impl FnOnce() -> String,
-    build: impl FnOnce() -> F,
-) -> Result<F, StreamError> {
-    let _span = waymem_obs::span!("replay.front", scheme = scheme());
-    let started = Instant::now();
-    let mut front = build();
-    let delivered = source.feed(section, &mut front)?;
+    geometry: Geometry,
+    accounts: Vec<S::Account>,
+) -> Result<Group<S>, StreamError> {
+    let names: Vec<String> = accounts.iter().map(Account::name).collect();
+    let _span = waymem_obs::span!("replay.front", schemes = names.join(","));
+    let mut group = Group::new(geometry, accounts);
+    let delivered = source.feed(section, &mut group)?;
     match section {
         Section::Data => waymem_obs::counter!("replay.data_events"),
         Section::Fetch => waymem_obs::counter!("replay.fetch_events"),
     }
-    .add(delivered);
-    waymem_obs::histogram!("replay.front_ns").record(elapsed_ns(started));
-    Ok(front)
+    .add(delivered * names.len() as u64);
+    let front_ns = waymem_obs::histogram!("replay.front_ns");
+    for &ns in group.account_ns() {
+        front_ns.record(ns);
+    }
+    Ok(group)
 }
 
 /// The replay half of the engine: evaluates a trace source — a built-in
 /// kernel's, an ingested external log's, a synthetic generator's; in
-/// memory or on disk — across every requested scheme's front-end, under
-/// the given [`ExecPolicy`].
+/// memory or on disk — across every requested scheme, under the given
+/// [`ExecPolicy`].
 ///
-/// The parallel fan-out is bounded: D- and I-schemes are chunked
-/// separately, `ceil((d + i) / workers)` to a chunk, across at most
-/// [`std::thread::available_parallelism`] workers, each replaying its
-/// chunk sequentially, so a long scheme list never spawns more compute
-/// threads than the host has cores. Chunks are joined in scheme order,
-/// so the result vectors keep the order the schemes were given and the
-/// outcome is deterministic: every front-end consumes the identical
-/// event stream independently, so the numbers are bit-identical to a
-/// serial replay (pinned by `tests/experiment.rs`).
+/// D- and I-schemes are chunked separately, `ceil((d + i) / workers)` to
+/// a chunk, and each chunk becomes one group: one cache simulated once
+/// per event, with every scheme of the chunk accounting over its
+/// outcomes. In parallel, each group replays on its own scoped worker, at
+/// most [`std::thread::available_parallelism`] of them, so a long scheme
+/// list never spawns more compute threads than the host has cores;
+/// serially there is one worker, so one D group and one I group. Groups
+/// are joined in scheme order, so the result vectors keep the order the
+/// schemes were given, and every scheme's accounting is a function of the
+/// event stream alone: results are bit-identical whatever the chunking
+/// (pinned by `tests/experiment.rs`).
 ///
 /// # Errors
 ///
@@ -665,40 +657,45 @@ pub(crate) fn replay(
     let _phase = waymem_obs::phase::enter(Phase::Replay);
     let _span = waymem_obs::span!("replay", workload = workload.name());
     let geometry = cfg.geometry;
-    let d_front =
-        |&s: &DScheme| replay_front(source, Section::Data, || s.name(), || s.build(geometry));
-    let i_front =
-        |&s: &IScheme| replay_front(source, Section::Fetch, || s.name(), || s.build(geometry));
     let fronts = dschemes.len() + ischemes.len();
-    let (dfronts, ifronts) = if policy.parallel(fronts) {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let chunk = fronts.div_ceil(workers).max(1);
+    let parallel = policy.parallel(fronts);
+    let workers = if parallel {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        1
+    };
+    let chunk = fronts.div_ceil(workers).max(1);
+    let d_group = |chunk: &[DScheme]| {
+        let accounts = chunk.iter().map(|s| s.account(geometry)).collect();
+        replay_group::<DSide>(source, Section::Data, geometry, accounts)
+    };
+    let i_group = |chunk: &[IScheme]| {
+        let accounts = chunk.iter().map(|s| s.account(geometry)).collect();
+        replay_group::<ISide>(source, Section::Fetch, geometry, accounts)
+    };
+    let (dgroups, igroups) = if parallel {
         std::thread::scope(|scope| -> Result<_, StreamError> {
-            let dhandles: Vec<_> = dschemes
-                .chunks(chunk)
-                .map(|group| scope.spawn(move || group.iter().map(d_front).collect::<Result<Vec<_>, _>>()))
-                .collect();
-            let ihandles: Vec<_> = ischemes
-                .chunks(chunk)
-                .map(|group| scope.spawn(move || group.iter().map(i_front).collect::<Result<Vec<_>, _>>()))
-                .collect();
-            let mut dfronts = Vec::with_capacity(dschemes.len());
-            for h in dhandles {
-                dfronts.extend(h.join().expect("D-front replay worker panicked")?);
-            }
-            let mut ifronts = Vec::with_capacity(ischemes.len());
-            for h in ihandles {
-                ifronts.extend(h.join().expect("I-front replay worker panicked")?);
-            }
-            Ok((dfronts, ifronts))
+            let dhandles: Vec<_> =
+                dschemes.chunks(chunk).map(|c| scope.spawn(move || d_group(c))).collect();
+            let ihandles: Vec<_> =
+                ischemes.chunks(chunk).map(|c| scope.spawn(move || i_group(c))).collect();
+            let dgroups = dhandles
+                .into_iter()
+                .map(|h| h.join().expect("D-front replay worker panicked"))
+                .collect::<Result<Vec<_>, _>>()?;
+            let igroups = ihandles
+                .into_iter()
+                .map(|h| h.join().expect("I-front replay worker panicked"))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((dgroups, igroups))
         })?
     } else {
         (
-            dschemes.iter().map(d_front).collect::<Result<Vec<_>, _>>()?,
-            ischemes.iter().map(i_front).collect::<Result<Vec<_>, _>>()?,
+            dschemes.chunks(chunk).map(d_group).collect::<Result<Vec<_>, _>>()?,
+            ischemes.chunks(chunk).map(i_group).collect::<Result<Vec<_>, _>>()?,
         )
     };
-    Ok(compose(workload, source.cycles(), cfg, &dfronts, &ifronts))
+    Ok(compose(workload, source.cycles(), cfg, &dgroups, &igroups))
 }
 
 /// The FNV-1a64 of the kernel's generated assembly source at `scale` —
@@ -729,9 +726,9 @@ pub fn kernel_source_hash(bench: Benchmark, scale: u32) -> u64 {
     hash
 }
 
-/// The store-less serial kernel engine: one CPU run with every front-end
-/// fed per event through a [`FanoutSink`], skipping trace
-/// materialization entirely. [`ExecPolicy::Serial`] (and `Auto`, when
+/// The store-less serial kernel engine: one CPU run with every scheme fed
+/// per event through a [`FanoutSink`] of one D and one I group, skipping
+/// trace materialization entirely. [`ExecPolicy::Serial`] (and `Auto`, when
 /// parallel replay cannot pay) resolves to it for kernel workloads
 /// without a store or streaming. It stays because recording the trace
 /// and replaying it serially costs more: on a 2-thread host that route
@@ -752,13 +749,14 @@ pub(crate) fn run_kernel_fanout(
 ) -> Result<SimResult, RunError> {
     let _phase = waymem_obs::phase::enter(Phase::Replay);
     let _span = waymem_obs::span!("replay", workload = bench.name());
+    let geometry = cfg.geometry;
     let mut sink = FanoutSink {
-        dfronts: dschemes.iter().map(|s| s.build(cfg.geometry)).collect(),
-        ifronts: ischemes.iter().map(|s| s.build(cfg.geometry)).collect(),
+        d: Group::new(geometry, dschemes.iter().map(|s| s.account(geometry)).collect()),
+        i: Group::new(geometry, ischemes.iter().map(|s| s.account(geometry)).collect()),
     };
     let cycles = interpret(bench, cfg.scale, &mut sink)?;
     let workload = WorkloadId::kernel(bench, cfg.scale);
-    Ok(compose(workload, cycles, cfg, &sink.dfronts, &sink.ifronts))
+    Ok(compose(workload, cycles, cfg, &[sink.d], &[sink.i]))
 }
 
 #[cfg(test)]
