@@ -3,7 +3,7 @@
 use waymem_cache::{AccessKind, AccessOutcome, AccessStats, Geometry, LineBuffer, SetBuffer};
 use waymem_core::{Mab, MabConfig, MabLookup, MabStats};
 use waymem_hwmodel::{EnergyCounts, MabShape};
-use waymem_isa::{FetchKind, TraceEvent, TraceSink};
+use waymem_isa::{TraceEvent, TraceSink};
 
 use super::{group_of_one, Account, Group, Side};
 

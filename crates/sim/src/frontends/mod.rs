@@ -266,26 +266,6 @@ macro_rules! group_of_one {
                 self.0.accounts()[0].energy_counts(&self.stats(), cycles)
             }
         }
-
-        /// A front-end is itself a [`TraceSink`]: its cache's events feed
-        /// the model, the other cache's are ignored.
-        impl TraceSink for $front {
-            fn fetch(&mut self, pc: u32, kind: FetchKind) {
-                self.0.fetch(pc, kind);
-            }
-
-            fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-                self.0.load(base, disp, addr, size);
-            }
-
-            fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-                self.0.store(base, disp, addr, size);
-            }
-
-            fn events(&mut self, batch: &[TraceEvent]) {
-                self.0.events(batch);
-            }
-        }
     };
 }
 use group_of_one;

@@ -138,7 +138,10 @@ impl fmt::Display for RunError {
                 write!(f, "{}: {message}", path.display())
             }
             RunError::MissingTrace { id } => {
-                write!(f, "workload {id} has no trace: not held by any attached store")
+                write!(
+                    f,
+                    "workload {id} has no trace: not held by any attached store"
+                )
             }
             RunError::Stream { message } => {
                 write!(f, "streaming trace failed: {message}")
@@ -586,7 +589,9 @@ fn results<S: Side>(
         let account = &g.accounts()[i];
         let stats = g.stats(i);
         let energy = account.energy_counts(&stats, cycles);
-        let mab = account.mab().map(|m| mab_power_mw(mab_shape(m.config()), technology));
+        let mab = account
+            .mab()
+            .map(|m| mab_power_mw(mab_shape(m.config()), technology));
         SchemeResult {
             name: account.name(),
             stats,
@@ -595,7 +600,10 @@ fn results<S: Side>(
             extra_cycles: account.extra_cycles(),
         }
     };
-    groups.iter().flat_map(|g| (0..g.accounts().len()).map(move |i| scheme(g, i))).collect()
+    groups
+        .iter()
+        .flat_map(|g| (0..g.accounts().len()).map(move |i| scheme(g, i)))
+        .collect()
 }
 
 /// Feeds one section of `source` through a group of `accounts`,
@@ -609,15 +617,22 @@ fn replay_group<S: Side>(
     geometry: Geometry,
     accounts: Vec<S::Account>,
 ) -> Result<Group<S>, StreamError> {
-    let names: Vec<String> = accounts.iter().map(Account::name).collect();
-    let _span = waymem_obs::span!("replay.front", schemes = names.join(","));
+    let fronts = accounts.len() as u64;
+    let _span = waymem_obs::span!(
+        "replay.front",
+        schemes = accounts
+            .iter()
+            .map(Account::name)
+            .collect::<Vec<_>>()
+            .join(",")
+    );
     let mut group = Group::new(geometry, accounts);
     let delivered = source.feed(section, &mut group)?;
     match section {
         Section::Data => waymem_obs::counter!("replay.data_events"),
         Section::Fetch => waymem_obs::counter!("replay.fetch_events"),
     }
-    .add(delivered * names.len() as u64);
+    .add(delivered * fronts);
     let front_ns = waymem_obs::histogram!("replay.front_ns");
     for &ns in group.account_ns() {
         front_ns.record(ns);
@@ -675,10 +690,14 @@ pub(crate) fn replay(
     };
     let (dgroups, igroups) = if parallel {
         std::thread::scope(|scope| -> Result<_, StreamError> {
-            let dhandles: Vec<_> =
-                dschemes.chunks(chunk).map(|c| scope.spawn(move || d_group(c))).collect();
-            let ihandles: Vec<_> =
-                ischemes.chunks(chunk).map(|c| scope.spawn(move || i_group(c))).collect();
+            let dhandles: Vec<_> = dschemes
+                .chunks(chunk)
+                .map(|c| scope.spawn(move || d_group(c)))
+                .collect();
+            let ihandles: Vec<_> = ischemes
+                .chunks(chunk)
+                .map(|c| scope.spawn(move || i_group(c)))
+                .collect();
             let dgroups = dhandles
                 .into_iter()
                 .map(|h| h.join().expect("D-front replay worker panicked"))
@@ -691,8 +710,14 @@ pub(crate) fn replay(
         })?
     } else {
         (
-            dschemes.chunks(chunk).map(d_group).collect::<Result<Vec<_>, _>>()?,
-            ischemes.chunks(chunk).map(i_group).collect::<Result<Vec<_>, _>>()?,
+            dschemes
+                .chunks(chunk)
+                .map(d_group)
+                .collect::<Result<Vec<_>, _>>()?,
+            ischemes
+                .chunks(chunk)
+                .map(i_group)
+                .collect::<Result<Vec<_>, _>>()?,
         )
     };
     Ok(compose(workload, source.cycles(), cfg, &dgroups, &igroups))
@@ -716,13 +741,20 @@ pub fn kernel_source_hash(bench: Benchmark, scale: u32) -> u64 {
     use std::sync::{Mutex, OnceLock};
     static CACHE: OnceLock<Mutex<HashMap<(Benchmark, u32), u64>>> = OnceLock::new();
     let cache = CACHE.get_or_init(Mutex::default);
-    if let Some(&hash) = cache.lock().expect("hash cache poisoned").get(&(bench, scale)) {
+    if let Some(&hash) = cache
+        .lock()
+        .expect("hash cache poisoned")
+        .get(&(bench, scale))
+    {
         return hash;
     }
     // Generate outside the lock: source generation is the expensive
     // part, and a racing thread at worst recomputes the same value.
     let hash = fnv1a64(bench.source(scale).as_bytes());
-    cache.lock().expect("hash cache poisoned").insert((bench, scale), hash);
+    cache
+        .lock()
+        .expect("hash cache poisoned")
+        .insert((bench, scale), hash);
     hash
 }
 
@@ -751,8 +783,14 @@ pub(crate) fn run_kernel_fanout(
     let _span = waymem_obs::span!("replay", workload = bench.name());
     let geometry = cfg.geometry;
     let mut sink = FanoutSink {
-        d: Group::new(geometry, dschemes.iter().map(|s| s.account(geometry)).collect()),
-        i: Group::new(geometry, ischemes.iter().map(|s| s.account(geometry)).collect()),
+        d: Group::new(
+            geometry,
+            dschemes.iter().map(|s| s.account(geometry)).collect(),
+        ),
+        i: Group::new(
+            geometry,
+            ischemes.iter().map(|s| s.account(geometry)).collect(),
+        ),
     };
     let cycles = interpret(bench, cfg.scale, &mut sink)?;
     let workload = WorkloadId::kernel(bench, cfg.scale);
@@ -971,7 +1009,9 @@ mod tests {
         // A copy cached under another hash is stale: the builder will not
         // replay it, and has nothing to re-produce it from.
         let other = WorkloadId::External { hash: 78 };
-        store.get_or_record(other, 5, || Ok::<_, ()>(trace.clone())).expect("seeds");
+        store
+            .get_or_record(other, 5, || Ok::<_, ()>(trace.clone()))
+            .expect("seeds");
         let err = paper_exp(other).store(&store).run().expect_err("stale");
         assert_eq!(err, RunError::MissingTrace { id: other });
     }
