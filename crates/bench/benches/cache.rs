@@ -1,10 +1,15 @@
 //! Criterion micro-benchmarks of the tag-only cache substrate: hit-path
-//! and miss-path access throughput, and the full D-cache front-end under
-//! the three Figure 4 schemes on a synthetic strided address stream.
+//! and miss-path access throughput, and the D side of the replay engine:
+//! the three Figure 4 schemes replayed together over one recorded
+//! synthetic trace, one cache simulation serving all three.
+
+use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use waymem_bench::fig4_dschemes;
 use waymem_cache::{AccessKind, Geometry, SetAssocCache};
-use waymem_sim::DScheme;
+use waymem_ingest::synth;
+use waymem_sim::{ExecPolicy, Experiment, SynthPattern, SynthSpec, WorkloadId};
 
 fn bench_cache_hit_path(c: &mut Criterion) {
     let geom = Geometry::frv();
@@ -37,32 +42,32 @@ fn bench_cache_miss_path(c: &mut Criterion) {
     });
 }
 
-fn bench_dfront_schemes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dfront");
-    for scheme in [
-        DScheme::Original,
-        DScheme::SetBuffer { entries: 1 },
-        DScheme::paper_way_memo(),
-    ] {
-        let mut front = scheme.build(Geometry::frv());
-        group.bench_function(scheme.name(), |b| {
-            let mut x = 0x4000_0000u32;
-            b.iter(|| {
-                x = x.wrapping_mul(0x9e37_79b9).wrapping_add(0x7f4a_7c15);
-                let base = 0x0001_0000 + ((x >> 20) & 0x1fe0);
-                let disp = ((x >> 8) & 0x7c) as i32;
-                front.access(x & 7 == 0, base, disp, base.wrapping_add(disp as u32));
-                black_box(&front);
-            })
-        });
-    }
-    group.finish();
+/// The Figure 4 D schemes as the engine runs them: one group over one
+/// cache, fed a recorded zipf hot-set trace (the serial policy keeps the
+/// timing on one thread).
+fn bench_fig4_dgroup(c: &mut Criterion) {
+    let spec = SynthSpec {
+        pattern: SynthPattern::ZipfHotSet { hot_lines: 64, alpha_centi: 100 },
+        accesses: 20_000,
+        seed: 1,
+    };
+    let trace = Arc::new(synth::generate(spec));
+    c.bench_function("dgroup/fig4_zipf_20k", |b| {
+        b.iter(|| {
+            let r = Experiment::recorded(WorkloadId::Synthetic(spec), trace.clone())
+                .dschemes(fig4_dschemes())
+                .policy(ExecPolicy::Serial)
+                .run()
+                .expect("replays");
+            black_box(r.dcache.len())
+        })
+    });
 }
 
 criterion_group!(
     benches,
     bench_cache_hit_path,
     bench_cache_miss_path,
-    bench_dfront_schemes
+    bench_fig4_dgroup
 );
 criterion_main!(benches);

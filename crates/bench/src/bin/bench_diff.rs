@@ -3,27 +3,17 @@
 //! tolerance.
 //!
 //! ```text
-//! cargo run --release -p waymem-bench --bin bench_diff -- [OPTIONS]
+//! cargo run --release -p waymem-bench --bin bench_diff -- --baseline FILE [OPTIONS]
 //!
+//! --baseline FILE   baseline report (a committed BENCH_headline.json,
+//!                   say); required
 //! --current FILE    report to judge (default BENCH_headline.json)
-//! --baseline FILE   explicit baseline report (a committed
-//!                   BENCH_headline.json, say); exits 2 if unreadable
-//! --ledger FILE     take the baseline from this BENCH_LEDGER.jsonl
-//!                   instead (default BENCH_LEDGER.jsonl when neither
-//!                   flag is given)
-//! --bin NAME        which binary's ledger records to use (default
-//!                   headline)
-//! --keep-latest     compare against the ledger's newest matching
-//!                   record; by default the newest is skipped, since a
-//!                   run that just appended its own record would only
-//!                   ever compare against itself
 //! --tolerance PCT   allowed relative degradation before failing
 //!                   (default 25)
 //! ```
 //!
-//! Exit status: 0 = within tolerance (or no baseline yet — an empty
-//! ledger must not fail a fresh checkout), 1 = regression detected,
-//! 2 = bad usage or unreadable input.
+//! Exit status: 0 = within tolerance, 1 = regression detected, 2 = bad
+//! usage (a missing `--baseline` included) or unreadable input.
 //!
 //! The deltas come from [`waymem_bench::diff`]: higher-better figures
 //! (warm/cold speedup, events/sec, compression ratio, total saving)
@@ -35,106 +25,49 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use waymem_bench::diff::{compare, Delta};
-use waymem_obs::chrome::{parse, Value};
+use waymem_obs::json::{parse, Json};
 
 struct Options {
     current: PathBuf,
-    baseline: Option<PathBuf>,
-    ledger: Option<PathBuf>,
-    bin: String,
-    keep_latest: bool,
+    baseline: PathBuf,
     tolerance_pct: f64,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_diff [--current FILE] [--baseline FILE | --ledger FILE] \
-         [--bin NAME] [--keep-latest] [--tolerance PCT]"
-    );
+    eprintln!("usage: bench_diff --baseline FILE [--current FILE] [--tolerance PCT]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Options {
-    let mut opts = Options {
-        current: PathBuf::from("BENCH_headline.json"),
-        baseline: None,
-        ledger: None,
-        bin: "headline".to_owned(),
-        keep_latest: false,
-        tolerance_pct: 25.0,
-    };
+    let mut current = PathBuf::from("BENCH_headline.json");
+    let mut baseline = None;
+    let mut tolerance_pct = 25.0;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--current" => match args.next() {
-                Some(p) => opts.current = PathBuf::from(p),
+                Some(p) => current = PathBuf::from(p),
                 None => usage(),
             },
             "--baseline" => match args.next() {
-                Some(p) => opts.baseline = Some(PathBuf::from(p)),
+                Some(p) => baseline = Some(PathBuf::from(p)),
                 None => usage(),
             },
-            "--ledger" => match args.next() {
-                Some(p) => opts.ledger = Some(PathBuf::from(p)),
-                None => usage(),
-            },
-            "--bin" => match args.next() {
-                Some(b) => opts.bin = b,
-                None => usage(),
-            },
-            "--keep-latest" => opts.keep_latest = true,
             "--tolerance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => opts.tolerance_pct = t,
+                Some(t) => tolerance_pct = t,
                 None => usage(),
             },
             _ => usage(),
         }
     }
-    if opts.baseline.is_some() && opts.ledger.is_some() {
-        usage();
-    }
-    opts
+    let Some(baseline) = baseline else { usage() };
+    Options { current, baseline, tolerance_pct }
 }
 
-fn read_json(path: &PathBuf) -> Result<Value, String> {
+fn read_json(path: &PathBuf) -> Result<Json, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// The newest ledger record for `bin` — or the one before it unless
-/// `keep_latest`, since the current run has usually just appended its
-/// own. `Ok(None)` means "no baseline yet", which is a pass.
-fn ledger_baseline(
-    path: &PathBuf,
-    bin: &str,
-    keep_latest: bool,
-) -> Result<Option<(Value, String)>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-    };
-    let mut matching = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record =
-            parse(line).map_err(|e| format!("{} line {}: {e}", path.display(), i + 1))?;
-        if record.get("bin").and_then(Value::as_str) == Some(bin) {
-            let rev = record
-                .get("git_rev")
-                .and_then(Value::as_str)
-                .unwrap_or("unknown")
-                .to_owned();
-            matching.push((record, rev));
-        }
-    }
-    if !keep_latest {
-        matching.pop();
-    }
-    Ok(matching.pop())
 }
 
 fn print_delta(d: &Delta) {
@@ -148,26 +81,12 @@ fn print_delta(d: &Delta) {
 
 fn run(opts: &Options) -> Result<ExitCode, String> {
     let current = read_json(&opts.current)?;
-    let (baseline, label) = if let Some(path) = &opts.baseline {
-        (read_json(path)?, path.display().to_string())
-    } else {
-        let path = opts.ledger.clone().unwrap_or_else(|| PathBuf::from("BENCH_LEDGER.jsonl"));
-        match ledger_baseline(&path, &opts.bin, opts.keep_latest)? {
-            Some((record, rev)) => (record, format!("{} (bin {}, rev {rev})", path.display(), opts.bin)),
-            None => {
-                println!(
-                    "bench_diff: no prior {} record in {} — nothing to compare, pass",
-                    opts.bin,
-                    path.display()
-                );
-                return Ok(ExitCode::SUCCESS);
-            }
-        }
-    };
+    let baseline = read_json(&opts.baseline)?;
     let report = compare(&current, &baseline, opts.tolerance_pct)?;
     println!(
-        "bench_diff: {} vs {label} (tolerance {:.0}%)",
+        "bench_diff: {} vs {} (tolerance {:.0}%)",
         opts.current.display(),
+        opts.baseline.display(),
         report.tolerance_pct
     );
     for delta in &report.deltas {

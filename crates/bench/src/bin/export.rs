@@ -9,8 +9,9 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use waymem_bench::json::{store_stats_json, Json};
+use waymem_bench::json::store_stats_json;
 use waymem_bench::{full_dschemes, full_ischemes, store_from_env};
+use waymem_obs::json::Json;
 use waymem_sim::{SchemeResult, SimConfig, SimResult, Suite};
 
 fn row_json(r: &SimResult, side: &str, s: &SchemeResult) -> Json {

@@ -18,18 +18,33 @@
 //! streaming pass replaying each trace from its on-disk `.wmtr` file in
 //! batches — and writes the wall-clocks, the streaming events/sec, and
 //! the store's hit/miss/compression accounting to `BENCH_headline.json`,
-//! so the repository tracks its own performance trajectory.
+//! the report `bench_diff --baseline` compares against a committed copy.
 //!
 //! Set `WAYMEM_TRACE_CACHE=<dir>` to persist recorded traces across
 //! invocations; a second run then reports `"records": 0` — the CI
 //! cold-vs-warm smoke checks exactly that.
 
+use std::process::Command;
 use std::time::Instant;
 
-use waymem_bench::json::{metrics_json, phases_json, store_stats_json, Json};
-use waymem_bench::{geometric_mean, ledger, store_from_env};
+use waymem_bench::json::{metrics_json, phases_json, store_stats_json};
+use waymem_bench::{geometric_mean, store_from_env};
+use waymem_obs::json::Json;
 use waymem_sim::{DScheme, ExecPolicy, Experiment, IScheme, Suite};
 use waymem_workloads::Benchmark;
+
+/// The checkout's short git revision, or `"unknown"` outside a git
+/// checkout.
+fn git_rev() -> String {
+    Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
 
 fn main() {
     // Arm span capture (WAYMEM_SPANS=<path>) and resolve the log level
@@ -167,11 +182,13 @@ fn main() {
     );
 
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let provenance = ledger::Provenance::detect();
-    // The perf figures double as this run's ledger record: what the
-    // report carries at its root, `bench_diff` reads back from
-    // `BENCH_LEDGER.jsonl` under `perf`.
-    let perf = vec![
+    let report = Json::object(vec![
+        ("schema", Json::from("waymem/headline/v5")),
+        ("git_rev", Json::from(git_rev())),
+        ("host_threads", Json::from(host_threads as u64)),
+        ("benchmarks", Json::from(results.len() as u64)),
+        ("dschemes", Json::from(dschemes.len() as u64)),
+        ("ischemes", Json::from(ischemes.len() as u64)),
         ("serial_fanout_seconds", Json::from(serial_s)),
         ("store_cold_seconds", Json::from(cold_s)),
         ("store_warm_seconds", Json::from(warm_s)),
@@ -186,34 +203,11 @@ fn main() {
         ("i_saving_avg_pct", Json::from(i_avg)),
         ("total_saving_avg_pct", Json::from(t_avg)),
         ("total_saving_max_pct", Json::from((1.0 - max_saving) * 100.0)),
-    ];
-    let mut report = vec![
-        ("schema", Json::from("waymem/headline/v5")),
-        ("git_rev", Json::from(provenance.git_rev.clone())),
-        ("host_threads", Json::from(host_threads as u64)),
-        ("benchmarks", Json::from(results.len() as u64)),
-        ("dschemes", Json::from(dschemes.len() as u64)),
-        ("ischemes", Json::from(ischemes.len() as u64)),
-    ];
-    report.extend(perf.iter().cloned());
-    report.push(("metrics", metrics_json()));
-    let report = Json::object(report);
+        ("metrics", metrics_json()),
+    ]);
     std::fs::write("BENCH_headline.json", format!("{report}\n"))
         .expect("write BENCH_headline.json");
     eprintln!("wrote BENCH_headline.json");
-
-    // Append this run to the durable trajectory (WAYMEM_LEDGER=off to
-    // skip; see waymem_bench::ledger for the dedup/rotation policy).
-    if let Some(outcome) = ledger::append_from_env("headline", Json::object(perf)) {
-        eprintln!(
-            "ledger: {} — {} records (run {} at rev {}{})",
-            outcome.path.display(),
-            outcome.records,
-            outcome.runs_at_rev,
-            provenance.git_rev,
-            if provenance.git_dirty { ", dirty" } else { "" }
-        );
-    }
 
     // With WAYMEM_SPANS set, drain every thread's span buffer into the
     // Chrome trace-event file (open it at ui.perfetto.dev).

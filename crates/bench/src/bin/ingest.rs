@@ -33,9 +33,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use waymem_bench::json::{metrics_json, phases_json, store_stats_json, Json};
-use waymem_bench::{full_dschemes, full_ischemes, ledger, store_from_env};
+use waymem_bench::json::{metrics_json, store_stats_json};
+use waymem_bench::{full_dschemes, full_ischemes, store_from_env};
 use waymem_ingest::{synth, LogFormat};
+use waymem_obs::json::Json;
 use waymem_sim::{
     catch_worker, Experiment, FigureRow, Prepared, RunError, SchemeResult, SimConfig, SimResult,
     TraceSource, WorkloadId,
@@ -381,31 +382,6 @@ fn main() -> ExitCode {
     }
     eprintln!("wrote {}", json_path.display());
 
-    // Append this batch to the durable trajectory (WAYMEM_LEDGER=off to
-    // skip): aggregate replay throughput across the surviving rows plus
-    // the store's compression accounting and the phase breakdown.
-    let replay_seconds: f64 = rows.iter().map(|r| r.replay_seconds).sum();
-    let replayed_events: f64 =
-        rows.iter().map(|r| r.events_per_sec * r.replay_seconds).sum();
-    let perf = vec![
-        ("workloads", Json::from(rows.len() as u64)),
-        ("failed_workloads", Json::from(failures.len() as u64)),
-        ("replay_seconds", Json::from(replay_seconds)),
-        (
-            "events_per_sec",
-            Json::from(if replay_seconds > 0.0 { replayed_events / replay_seconds } else { 0.0 }),
-        ),
-        ("trace_store", store_stats_json(&store.stats())),
-        ("phases", phases_json()),
-    ];
-    if let Some(outcome) = ledger::append_from_env("ingest", Json::object(perf)) {
-        eprintln!(
-            "ledger: {} — {} records (run {})",
-            outcome.path.display(),
-            outcome.records,
-            outcome.runs_at_rev
-        );
-    }
     if !failures.is_empty() {
         // Each failure was already warned as `ingest.workload_failed`
         // when it happened; the recap is one summary event.

@@ -1,10 +1,9 @@
 //! Perf-delta computation between two bench reports — the library
 //! behind the `bench_diff` regression gate.
 //!
-//! [`extract`] pulls the comparable figures out of either report shape
-//! (a `BENCH_headline.json` root or a `BENCH_LEDGER.jsonl` record,
-//! whose figures live under `"perf"`): the throughput/quality metrics
-//! in [`HIGHER_BETTER`], plus the per-phase wall-clock totals as
+//! [`extract`] pulls the comparable figures out of a
+//! `BENCH_headline.json` root: the throughput/quality metrics in
+//! [`HIGHER_BETTER`], plus the per-phase wall-clock totals as
 //! `phase.<name>` (lower is better). [`compare`] then pairs the metrics
 //! both reports carry and flags regressions past a tolerance:
 //!
@@ -18,11 +17,11 @@
 //! fail the gate), but zero shared metrics is an error — that means the
 //! two files were never comparable at all.
 
-use waymem_obs::chrome::Value;
+use waymem_obs::json::Json;
 
-/// Metrics where bigger is better, read from the report root (headline)
-/// or its `perf` object (ledger records). `compression_ratio` also
-/// resolves through `trace_store.compression_ratio`.
+/// Metrics where bigger is better, read from the report root.
+/// `compression_ratio` also resolves through
+/// `trace_store.compression_ratio`.
 pub const HIGHER_BETTER: [&str; 6] = [
     "warm_speedup",
     "cold_speedup",
@@ -70,25 +69,23 @@ impl DiffReport {
     }
 }
 
-/// Pulls the comparable `(name, value)` figures out of a parsed report:
-/// headline roots directly, ledger records through their `perf` object.
+/// Pulls the comparable `(name, value)` figures out of a parsed report.
 /// Missing metrics are simply absent — [`compare`] works on the
 /// intersection.
 #[must_use]
-pub fn extract(root: &Value) -> Vec<(String, f64)> {
-    let perf = root.get("perf").unwrap_or(root);
+pub fn extract(root: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for key in HIGHER_BETTER {
-        let value = perf.get(key).and_then(Value::as_num).or_else(|| {
+        let value = root.get(key).and_then(Json::as_num).or_else(|| {
             (key == "compression_ratio")
-                .then(|| perf.get("trace_store")?.get(key)?.as_num())
+                .then(|| root.get("trace_store")?.get(key)?.as_num())
                 .flatten()
         });
         if let Some(v) = value.filter(|v| v.is_finite()) {
             out.push((key.to_owned(), v));
         }
     }
-    if let Some(Value::Obj(phases)) = perf.get("phases") {
+    if let Some(Json::Object(phases)) = root.get("phases") {
         for (name, seconds) in phases {
             if let Some(s) = seconds.as_num().filter(|s| s.is_finite()) {
                 out.push((format!("phase.{name}"), s));
@@ -106,8 +103,8 @@ pub fn extract(root: &Value) -> Vec<(String, f64)> {
 /// When the two reports share no comparable metric — the files were
 /// not comparable bench reports.
 pub fn compare(
-    current: &Value,
-    baseline: &Value,
+    current: &Json,
+    baseline: &Json,
     tolerance_pct: f64,
 ) -> Result<DiffReport, String> {
     let base = extract(baseline);
@@ -137,7 +134,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waymem_obs::chrome::parse;
+    use waymem_obs::json::parse;
 
     const REPORT: &str = r#"{"schema":"waymem/headline/v5","warm_speedup":40.0,
         "cold_speedup":2.0,"streaming_events_per_sec":1e7,
@@ -182,18 +179,6 @@ mod tests {
         .unwrap();
         let report = compare(&better, &base, 25.0).unwrap();
         assert!(report.regressions().is_empty(), "{:?}", report.regressions());
-    }
-
-    #[test]
-    fn ledger_records_compare_through_their_perf_object() {
-        let record = parse(&format!(
-            r#"{{"schema":"waymem/ledger/v1","bin":"headline","perf":{}}}"#,
-            REPORT
-        ))
-        .unwrap();
-        let headline = parse(REPORT).unwrap();
-        let report = compare(&headline, &record, 25.0).unwrap();
-        assert!(report.regressions().is_empty());
     }
 
     #[test]

@@ -39,16 +39,14 @@
 //! The library part of this crate re-exports the scheme presets
 //! ([`fig4_dschemes`] / [`fig6_ischemes`] / [`full_dschemes`] /
 //! [`full_ischemes`], now defined in `waymem_sim::presets`) plus the
-//! env-wired [`store_from_env`], holds the tiny [`json`] writer behind
-//! the `BENCH_*.json` exports, the append-only run [`ledger`] those
-//! exports feed (`BENCH_LEDGER.jsonl`), and the perf-[`diff`] engine the
-//! `bench_diff` regression gate runs on.
+//! env-wired [`store_from_env`], holds the [`json`] report helpers the
+//! `BENCH_*.json` exports share (on [`waymem_obs::json::Json`]), and the
+//! perf-[`diff`] engine the `bench_diff` regression gate runs on.
 
 use waymem_sim::TraceStore;
 
 pub mod diff;
 pub mod json;
-pub mod ledger;
 
 pub use waymem_sim::presets::{fig4_dschemes, fig6_ischemes, full_dschemes, full_ischemes};
 

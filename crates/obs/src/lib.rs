@@ -25,13 +25,15 @@
 //! * [`phase`] — exclusive wall-clock accounting for the four run phases
 //!   (resolve / record / io / replay); the per-run breakdown the
 //!   `headline` binary exports into `BENCH_headline.json`.
-//! * [`chrome`] — a minimal standalone JSON parser and a Chrome
-//!   trace-event validator, so tests and CI can round-trip the profiles
-//!   the tracer emits without external tooling.
+//! * [`json`] — the workspace's one JSON value type: [`json::parse`]
+//!   reads it, `Display` prints it, and [`json::write_escaped`] is the
+//!   one string escaper every writer shares.
+//! * [`chrome`] — a Chrome trace-event validator, so tests and CI can
+//!   check the profiles the tracer emits without external tooling.
 //! * [`snapshot`] — a one-call JSON freeze of the whole registry plus
 //!   the phase accounting, embedded as the `"metrics"` object of every
-//!   bench export and ledger record, with a matching reader-side
-//!   validator.
+//!   bench export and returned by the daemon's `Stats` request, with a
+//!   matching reader-side validator.
 //! * [`flight`] — the crash flight recorder: bounded per-thread rings of
 //!   recent log/span/note events, dumped as one structured JSON black
 //!   box by the panic hook and at the reliability seams (worker death,
@@ -45,6 +47,7 @@
 
 pub mod chrome;
 pub mod flight;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod phase;

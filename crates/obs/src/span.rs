@@ -198,24 +198,6 @@ macro_rules! span {
     };
 }
 
-/// Escapes a string for embedding in a JSON string literal. Shared by
-/// every hand-rolled JSON writer in the crate.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Drains every thread's buffered events and writes them to `path` as
 /// Chrome trace-event JSON (overwriting any previous file).
 /// Returns the number of events written.
@@ -255,9 +237,8 @@ pub fn flush_to(path: &Path) -> io::Result<usize> {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{k}\":\"");
-                    escape_into(&mut out, v);
-                    out.push('"');
+                    let _ = write!(out, "\"{k}\":");
+                    let _ = crate::json::write_escaped(&mut out, v);
                 }
                 out.push('}');
             }

@@ -12,8 +12,7 @@
 //! Phase 2 is the steady-state hammer: a round-robin mix of synthetic
 //! workloads (warm after first touch) with pings interleaved. Results
 //! land in `BENCH_results.json` (schema `waymem/loadgen/v1`) with the
-//! daemon's own `serve.*` snapshot embedded, and the run is appended to
-//! the ledger as bin `loadgen`.
+//! daemon's own `serve.*` snapshot embedded.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -22,8 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use waymem_bench::json::Json;
-use waymem_bench::ledger;
+use waymem_obs::json::{self, Json};
 use waymem_serve::client::{Client, ClientError};
 use waymem_serve::proto::RunRequest;
 use waymem_trace::{SynthPattern, SynthSpec, WorkloadId};
@@ -273,10 +271,10 @@ fn main() -> ExitCode {
     let json = Json::object(vec![
         ("schema", Json::from("waymem/loadgen/v1")),
         ("addr", Json::from(opts.addr.clone())),
-        ("perf", perf.clone()),
+        ("perf", perf),
         (
             "daemon",
-            daemon_snapshot.clone().map_or(Json::Null, Json::Raw),
+            daemon_snapshot.and_then(|text| json::parse(&text).ok()).unwrap_or(Json::Null),
         ),
     ]);
     if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
@@ -289,15 +287,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!("wrote {}", json_path.display());
-
-    if let Some(outcome) = ledger::append_from_env("loadgen", perf) {
-        eprintln!(
-            "ledger: {} — {} records (run {})",
-            outcome.path.display(),
-            outcome.records,
-            outcome.runs_at_rev
-        );
-    }
 
     if merged.ok == 0 || !worker_failures.is_empty() {
         return ExitCode::FAILURE;

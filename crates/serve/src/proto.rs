@@ -15,10 +15,10 @@
 //! patterns so results stay bit-identical across the wire.
 //!
 //! The codec is hand-rolled over `std::io` for the same reason the
-//! bench JSON writer is: the build environment is offline, with no
-//! serde. Decoding never panics — every malformed byte sequence
-//! becomes a [`ProtoError`] the server answers with a structured error
-//! reply.
+//! workspace's JSON type (`waymem_obs::json`) is: the build environment
+//! is offline, with no serde. Decoding never panics — every malformed
+//! byte sequence becomes a [`ProtoError`] the server answers with a
+//! structured error reply.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -244,7 +244,7 @@ pub enum Response {
     },
     /// `Stats` succeeded: the daemon's obs snapshot JSON.
     StatsOk {
-        /// [`waymem_obs::snapshot::Snapshot::to_json`] output.
+        /// [`waymem_obs::snapshot::Snapshot::to_json`], printed.
         snapshot_json: String,
     },
     /// `Shutdown` acknowledged; drain has begun.

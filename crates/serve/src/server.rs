@@ -33,7 +33,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use waymem_bench::json::Json;
+use waymem_obs::json::Json;
 use waymem_obs::{counter, gauge, histogram, span};
 use waymem_sim::{full_dschemes, full_ischemes, DScheme, IScheme, SimResult};
 use waymem_trace::TraceStore;
@@ -353,7 +353,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 // Publish the store's counters as gauges first, so the
                 // snapshot carries `store.*` alongside `serve.*`.
                 shared.store.stats().publish();
-                Response::StatsOk { snapshot_json: waymem_obs::snapshot::take().to_json() }
+                let snapshot_json = waymem_obs::snapshot::take().to_json().to_string();
+                Response::StatsOk { snapshot_json }
             }
             Request::Shutdown => {
                 shared.draining.store(true, Ordering::SeqCst);
@@ -501,8 +502,8 @@ fn execute(shared: &Arc<Shared>, run: &RunRequest) -> FlightResult {
 }
 
 /// Renders one [`SimResult`] as the deterministic JSON object `RunOk`
-/// replies carry. Rendering goes through the bench [`Json`] writer, so
-/// equal results produce byte-equal JSON — the property the dedup test
+/// replies carry. Rendering goes through the workspace's one [`Json`]
+/// type, so equal results produce byte-equal JSON — the property the dedup test
 /// pins end to end.
 #[must_use]
 pub fn result_json(result: &SimResult) -> Json {

@@ -401,6 +401,8 @@ impl DFront {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waymem_isa::Cpu;
+    use waymem_workloads::Benchmark;
 
     fn geom() -> Geometry {
         Geometry::frv()
@@ -516,6 +518,59 @@ mod tests {
                         Some(way),
                         "stale MAB claim at iteration {i}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mab_claims_match_cache_residency_on_every_event_of_real_kernels() {
+        // The engine's D group (every D scheme over one cache) under two
+        // whole kernels: after each load and store, every valid pair of
+        // every MAB must name the way that holds its line in that cache.
+        // The paper's cache rarely evicts a memoized line; the 1 kB one
+        // does so constantly, so a missing eviction invalidation shows
+        // there.
+        struct Audit {
+            group: Group<DSide>,
+            claims: u64,
+        }
+        impl Audit {
+            fn check(&mut self) {
+                for account in self.group.accounts() {
+                    for (set, way, tag) in account.mab.iter().flat_map(Mab::claims) {
+                        assert_eq!(
+                            self.group.cache.resident_way(tag, set),
+                            Some(way),
+                            "{}: stale MAB claim after access {}",
+                            account.name(),
+                            self.group.shared.accesses
+                        );
+                        self.claims += 1;
+                    }
+                }
+            }
+        }
+        impl TraceSink for Audit {
+            fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+                self.group.load(base, disp, addr, size);
+                self.check();
+            }
+            fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+                self.group.store(base, disp, addr, size);
+                self.check();
+            }
+        }
+        for g in [geom(), Geometry::new(16, 2, 32).unwrap()] {
+            for bench in [Benchmark::Fft, Benchmark::Mpeg2Enc] {
+                let accounts =
+                    crate::presets::full_dschemes().into_iter().map(|s| s.account(g)).collect();
+                let mut audit = Audit { group: Group::new(g, accounts), claims: 0 };
+                let wl = bench.workload(1).expect("assembles");
+                Cpu::new(&wl.program).run(wl.max_steps, &mut audit).expect("runs");
+                assert!(audit.claims > 0, "{bench} at {g:?}: the MABs held claims");
+                for i in 0..audit.group.accounts().len() {
+                    assert_eq!(audit.group.stats(i).wrong_way, 0, "{bench} at {g:?}");
                 }
             }
         }
